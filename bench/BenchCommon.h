@@ -58,12 +58,9 @@
 ///                checkpoint and reports partial results (exit 3)
 ///   --max-refs N simulated-reference budget, k/m/g suffixes ok
 ///                (GCACHE_MAX_REFS env)
-///   --mem-budget B  hard resident-memory budget, k/m/g suffixes ok
-///                (GCACHE_MEM_BUDGET env); crossing ~80% of it first
-///                degrades the analysis sinks (see --on-budget)
-///   --on-budget degrade|stop   what a soft memory breach does: degrade
-///                sinks to sampled/coarsened stats (default) or stop the
-///                run like a hard breach (GCACHE_ON_BUDGET env)
+///   --mem-budget B  resident-memory budget, k/m/g suffixes ok
+///                (GCACHE_MEM_BUDGET env); reaching it drains the run to
+///                a checkpoint like a deadline (partial-mem, exit 3)
 ///
 /// SIGTERM/SIGINT request the same graceful drain as a deadline: the
 /// current unit stops at the next poll site, in-flight cache batches are
@@ -146,7 +143,7 @@ inline BenchArgs parseBenchArgs(int Argc, char **Argv,
       "checkpoint-dir",
       "checkpoint-every", "resume",         "supervise",
       "retries",        "timeout",          "grace",    "deadline",
-      "max-refs",       "mem-budget",       "on-budget"};
+      "max-refs",       "mem-budget"};
   for (const char *F : ExtraFlags)
     Known.push_back(F);
   std::vector<std::string> Unknown = A.Opts.unknownFlags(Known);
@@ -392,9 +389,6 @@ public:
       } else {
         ++Succeeded;
       }
-      if (R->Degraded)
-        std::printf("DEGRADED %s: %s\n", Unit.c_str(),
-                    R->DegradeNote.c_str());
       if (CanSnapshot)
         if (Status S = saveUnitSnapshot(Ctx.unitSnapshotPath(Unit), *R,
                                         Opts.Scale);

@@ -63,10 +63,10 @@ int main(int Argc, char **Argv) {
   }
   std::string TraceDir = Argv[1], SnapDir = Argv[2];
 
-  // Seed 1: a complete valid v2 trace.
+  // Seed 1: a complete valid trace.
   {
     TraceWriter W;
-    if (Status S = W.open(TraceDir + "/valid_v2.gctrace"); !S.ok())
+    if (Status S = W.open(TraceDir + "/valid.gctrace"); !S.ok())
       return die(S);
     emitEvents(W);
     if (Status S = W.close(); !S.ok())

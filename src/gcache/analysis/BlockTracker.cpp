@@ -4,7 +4,6 @@
 
 #include <bit>
 #include <cassert>
-#include <iterator>
 
 using namespace gcache;
 
@@ -36,11 +35,7 @@ void BlockTracker::onAlloc(Address Addr, uint32_t Bytes) {
       LastAllocTime[Slot] = Clock ? Clock : 1;
     }
     FrontierBlocks = NewFrontier;
-    // Degraded mode freezes the dense record vector — new blocks go to
-    // the stride-sampled map instead (the cycle bookkeeping above is
-    // fixed-size and keeps running at full fidelity).
-    if (SampleEvery == 1)
-      Dynamic.resize(FrontierBlocks);
+    Dynamic.resize(FrontierBlocks);
   }
 }
 
@@ -61,15 +56,6 @@ void BlockTracker::onRef(const Ref &R) {
   if (R.Addr >= Heap::DynamicBase) {
     uint32_t BlockIdx = (R.Addr - Heap::DynamicBase) >> BlockShift;
     if (BlockIdx >= Dynamic.size()) {
-      if (SampleEvery > 1) {
-        // Degraded: only every SampleEvery-th block index is tracked;
-        // summary counts from this region are scaled back up.
-        if (BlockIdx + 1 > FrontierBlocks)
-          FrontierBlocks = BlockIdx + 1;
-        if (BlockIdx % SampleEvery == 0)
-          touch(Sampled[BlockIdx], cacheSlotOf(BlockIdx));
-        return;
-      }
       // A reference beyond the recorded frontier (e.g. collector-resized
       // areas); extend conservatively.
       Dynamic.resize(BlockIdx + 1);
@@ -124,31 +110,6 @@ BlockSummary BlockTracker::computeSummary() {
     }
   }
 
-  // Degraded region: each sampled record stands for SampleEvery block
-  // indices, so its block-count contributions are scaled back up. The
-  // histograms stay exact-only — scaling a histogram would fabricate
-  // observations.
-  S.Degraded = SampleEvery > 1;
-  S.SampleStride = SampleEvery;
-  for (const auto &[BlockIdx, Rec] : Sampled) {
-    if (Rec.RefCount == 0)
-      continue;
-    S.DynamicBlocks += SampleEvery;
-    uint32_t BirthCycle = BlockIdx / NumSlots + 1;
-    bool OneCycle = Rec.CyclesActive == 1 && Rec.LastCycleSeen == BirthCycle;
-    if (OneCycle)
-      S.OneCycleBlocks += SampleEvery;
-    else {
-      S.MultiCycleBlocks += SampleEvery;
-      if (Rec.CyclesActive <= 4)
-        S.MultiCycleActiveLe4 += SampleEvery;
-    }
-    if (Rec.RefCount >= BusyThreshold) {
-      S.BusyDynamicBlocks += SampleEvery;
-      S.BusyRefs += Rec.RefCount * SampleEvery;
-    }
-  }
-
   uint32_t RtBlockFirst = RuntimeVecAddr >> BlockShift;
   uint32_t RtBlockLast = (RuntimeVecAddr + 16 * 4) >> BlockShift;
   for (const auto &[BlockIdx, Rec] : Static) {
@@ -161,23 +122,6 @@ BlockSummary BlockTracker::computeSummary() {
       S.RuntimeVectorRefs += Rec.RefCount;
   }
   return S;
-}
-
-std::string BlockTracker::degrade() {
-  if (SampleEvery == 1) {
-    // First step: freeze the dense vector where it stands; everything
-    // beyond it is stride-sampled from here on.
-    SampleEvery = 16;
-  } else if (SampleEvery >= (1u << 20)) {
-    return std::string(); // Nothing meaningful left to shed.
-  } else {
-    SampleEvery *= 2;
-    // Thin existing samples to the new stride (lossy, like any shed).
-    for (auto It = Sampled.begin(); It != Sampled.end();)
-      It = It->first % SampleEvery ? Sampled.erase(It) : std::next(It);
-  }
-  return "block-tracker: new blocks stride-sampled 1-in-" +
-         std::to_string(SampleEvery);
 }
 
 static void saveRecord(SnapshotWriter &W, const BlockRecord &Rec) {
@@ -219,12 +163,6 @@ void BlockTracker::saveTo(SnapshotWriter &W) const {
   DynRefCounts.save(W);
   CycleLens.save(W);
   W.putVecU64(LastAllocTime);
-  W.putU32(SampleEvery);
-  W.putU64(Sampled.size());
-  for (const auto &[BlockIdx, Rec] : Sampled) {
-    W.putU32(BlockIdx);
-    saveRecord(W, Rec);
-  }
 }
 
 Status BlockTracker::loadFrom(const SnapshotReader &R) {
@@ -276,20 +214,6 @@ Status BlockTracker::loadFrom(const SnapshotReader &R) {
     C.fail(Status::failf(StatusCode::Corrupt,
                          "block-tracker snapshot has %zu alloc-time slots",
                          NewLastAlloc.size()));
-  uint32_t SavedSampleEvery = C.getU32();
-  uint64_t NumSampled = C.getU64();
-  std::unordered_map<uint32_t, BlockRecord> NewSampled;
-  if (C.ok() && NumSampled > C.remaining() / 36)
-    C.fail(Status::failf(StatusCode::Truncated,
-                         "block-tracker snapshot claims %llu sampled records",
-                         static_cast<unsigned long long>(NumSampled)));
-  for (uint64_t I = 0; C.ok() && I != NumSampled; ++I) {
-    uint32_t BlockIdx = C.getU32();
-    NewSampled.emplace(BlockIdx, loadRecord(C));
-  }
-  if (C.ok() && SavedSampleEvery == 0)
-    C.fail(Status::fail(StatusCode::Corrupt,
-                        "block-tracker snapshot has a zero sample stride"));
   if (Status S = C.finish(); !S.ok())
     return S;
 
@@ -299,8 +223,6 @@ Status BlockTracker::loadFrom(const SnapshotReader &R) {
   Finalized = SavedFinalized;
   Dynamic = std::move(NewDynamic);
   Static = std::move(NewStatic);
-  Sampled = std::move(NewSampled);
-  SampleEvery = SavedSampleEvery;
   Lifetimes = std::move(NewLifetimes);
   DynRefCounts = std::move(NewDynRefCounts);
   CycleLens = std::move(NewCycleLens);

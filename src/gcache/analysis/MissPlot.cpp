@@ -8,30 +8,8 @@
 using namespace gcache;
 
 MissPlot::MissPlot(const CacheConfig &Config, uint32_t RefsPerColumn)
-    : Sim(Config), RefsPerColumn(RefsPerColumn),
-      BaseRefsPerColumn(RefsPerColumn), NumBlocks(Config.numSets()) {
+    : Sim(Config), RefsPerColumn(RefsPerColumn), NumBlocks(Config.numSets()) {
   assert(RefsPerColumn > 0 && "need a positive time bucket");
-}
-
-std::string MissPlot::degrade() {
-  if (RefsPerColumn >= (1u << 30))
-    return std::string(); // Axis already maximally coarse.
-  // OR-merge adjacent column pairs starting from column 0. The plot laws
-  // survive: ceil(ceil(R/r)/2) == ceil(R/(2r)), merged cells only lose
-  // marks relative to misses, and a plot with misses keeps >= 1 mark.
-  std::vector<std::vector<uint8_t>> Merged;
-  Merged.reserve((Columns.size() + 1) / 2);
-  for (size_t I = 0; I < Columns.size(); I += 2) {
-    std::vector<uint8_t> Col = std::move(Columns[I]);
-    if (I + 1 < Columns.size())
-      for (uint32_t B = 0; B != NumBlocks; ++B)
-        Col[B] |= Columns[I + 1][B];
-    Merged.push_back(std::move(Col));
-  }
-  Columns = std::move(Merged);
-  RefsPerColumn *= 2;
-  return "miss-plot: time axis coarsened to " +
-         std::to_string(RefsPerColumn) + " refs/column";
 }
 
 std::vector<uint8_t> &MissPlot::currentColumn() {
@@ -113,21 +91,13 @@ Status MissPlot::loadFrom(const SnapshotReader &R) {
   SnapshotCursor C = R.section(snapshotTag());
   uint32_t SavedRefsPerColumn = C.getU32();
   uint32_t SavedNumBlocks = C.getU32();
-  // A snapshot cut after coarsening has refs/column == base * 2^k; the
-  // loading plot adopts the coarser axis. Anything else is a mismatch.
-  uint64_t Ratio =
-      BaseRefsPerColumn && SavedRefsPerColumn % BaseRefsPerColumn == 0
-          ? SavedRefsPerColumn / BaseRefsPerColumn
-          : 0;
-  bool CompatibleAxis =
-      Ratio != 0 && (Ratio & (Ratio - 1)) == 0 &&
-      SavedRefsPerColumn >= BaseRefsPerColumn;
-  if (C.ok() && (!CompatibleAxis || SavedNumBlocks != NumBlocks)) {
+  if (C.ok() &&
+      (SavedRefsPerColumn != RefsPerColumn || SavedNumBlocks != NumBlocks)) {
     C.fail(Status::failf(StatusCode::Corrupt,
                          "miss-plot snapshot (%u refs/col, %u blocks) does "
                          "not match this plot (%u refs/col, %u blocks)",
-                         SavedRefsPerColumn, SavedNumBlocks,
-                         BaseRefsPerColumn, NumBlocks));
+                         SavedRefsPerColumn, SavedNumBlocks, RefsPerColumn,
+                         NumBlocks));
     return C.finish();
   }
   uint64_t SavedRefsSeen = C.getU64();
@@ -149,7 +119,6 @@ Status MissPlot::loadFrom(const SnapshotReader &R) {
   if (Status S = C.finish(); !S.ok())
     return S;
   RefsSeen = SavedRefsSeen;
-  RefsPerColumn = SavedRefsPerColumn;
   Columns = std::move(NewColumns);
   return Status();
 }

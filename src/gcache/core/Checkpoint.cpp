@@ -289,8 +289,6 @@ Status gcache::saveUnitSnapshot(const std::string &Path, ProgramRun &Run,
   W.putString(unitOutcomeName(Run.Outcome));
   W.putString(Run.OutcomeNote);
   W.putDouble(Run.Coverage);
-  W.putU8(Run.Degraded ? 1 : 0);
-  W.putString(Run.DegradeNote);
 
   W.beginSection("unit-bank");
   W.putU64(Run.Bank->size());
@@ -337,8 +335,6 @@ Expected<ProgramRun> gcache::loadUnitSnapshot(const std::string &Path,
   std::string OutcomeName = C.getString();
   Run.OutcomeNote = C.getString();
   Run.Coverage = C.getDouble();
-  Run.Degraded = C.getU8() != 0;
-  Run.DegradeNote = C.getString();
   Run.Outcome = unitOutcomeFromName(OutcomeName);
   if (C.ok() && OutcomeName != unitOutcomeName(Run.Outcome))
     C.fail(Status::failf(StatusCode::Corrupt,

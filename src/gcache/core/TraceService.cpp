@@ -1191,6 +1191,9 @@ struct TraceService::Impl {
         return;
       }
       C->JobId = 0;
+      // The spool belongs to the job's outcome from here on: a partial
+      // keeps it for resume, anything else unlinks it below.
+      C->SpoolPath.clear();
       if (OkResult || Partial) {
         enqueueFrame(*C, FrameType::Reply, E.Result.ReplyJson);
       } else {

@@ -25,9 +25,9 @@
 ///   watchdog-trip   The Nth cooperative cancellation poll behaves as if
 ///                   the watchdog had tripped the deadline: the run drains
 ///                   to a partial result (support/Budget.h).
-///   budget-probe    The Nth poll simulates a memory-budget breach: soft
-///                   (degrade the analysis sinks) under
-///                   --on-budget=degrade, hard (drain) otherwise.
+///   budget-probe    The Nth poll simulates resident memory reaching
+///                   --mem-budget: the run drains to a partial-mem result
+///                   (support/Budget.h).
 ///   accept-fail     The trace service's Nth accept() fails as if the
 ///                   kernel had returned an error; the daemon must log it
 ///                   and keep serving (core/TraceService.h).

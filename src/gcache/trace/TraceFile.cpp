@@ -280,20 +280,19 @@ Status TraceStream::openBuffer(std::vector<uint8_t> Bytes, bool Salvage,
     return Status::failf(StatusCode::Corrupt,
                          "'%s' is not a trace file (bad magic)", Name.c_str());
   uint32_t FileVersion = get32(Data.data() + 4);
-  if (FileVersion < 1 || FileVersion > Version)
+  if (FileVersion != Version)
     return Status::failf(StatusCode::Corrupt,
                          "trace '%s' has unsupported version %u", Name.c_str(),
                          FileVersion);
   uint64_t Expected = static_cast<uint64_t>(get32(Data.data() + 8)) |
                       (static_cast<uint64_t>(get32(Data.data() + 12)) << 32);
   Declared = Expected;
-  bool HasFooter = FileVersion >= 2;
 
   // Walk the record stream, remembering the end of the last whole record
   // so salvage can cut there.
-  size_t StreamEnd = Data.size() - (HasFooter ? FooterBytes : 0);
+  size_t StreamEnd = Data.size() - FooterBytes;
   bool FooterMissing = false;
-  if (HasFooter && Data.size() < HeaderBytes + FooterBytes) {
+  if (Data.size() < HeaderBytes + FooterBytes) {
     StreamEnd = Data.size();
     FooterMissing = true;
   }
@@ -335,7 +334,7 @@ Status TraceStream::openBuffer(std::vector<uint8_t> Bytes, bool Salvage,
   if (Found.ok() && FooterMissing)
     Found = Status::failf(StatusCode::Truncated,
                           "trace '%s' ends before its footer", Name.c_str());
-  if (Found.ok() && HasFooter &&
+  if (Found.ok() &&
       std::memcmp(Data.data() + StreamEnd, FooterMagic, 4) != 0) {
     // A bad footer magic on a file holding fewer records than the header
     // promises is a file cut short at a record boundary: the "footer"
@@ -351,7 +350,7 @@ Status TraceStream::openBuffer(std::vector<uint8_t> Bytes, bool Salvage,
       Found = Status::failf(StatusCode::Corrupt,
                             "trace '%s' has a malformed footer", Name.c_str());
   }
-  if (Found.ok() && HasFooter) {
+  if (Found.ok()) {
     uint32_t WantCrc = get32(Data.data() + StreamEnd + 4);
     uint32_t GotCrc =
         crc32(Data.data() + RecordsBegin, RecordsEnd - RecordsBegin);

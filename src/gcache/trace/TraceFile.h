@@ -16,19 +16,19 @@
 ///   header   "GCTR", u32 version, u64 record count
 ///   records  one per event: 1-byte opcode (kind+phase or control event),
 ///            4-byte address, and for allocations a further 4-byte size
-///   footer   (version >= 2) "GCTF", u32 CRC-32 over all record bytes
+///   footer   "GCTF", u32 CRC-32 over all record bytes
 ///
-/// Version 1 files (no footer) remain fully readable. Version 2 adds the
-/// checksum footer, and the writer gains durability: the stream goes to
-/// `<path>.tmp` and is fflushed, fsynced, and atomically renamed onto the
-/// final path only when close() succeeds — a crash or write failure never
-/// leaves a half-written trace at the final path. Version 3 adds the GC
-/// phase marker record (opcode 7, 5 bytes): the stepped collectors emit
-/// one marker per bounded step, so a trace partitions every collector
-/// reference by the phase that produced it and mid-cycle checkpoint
-/// placement is observable from the artifact alone (trace_inspect
-/// --gc-phases). Versions 1 and 2 remain fully readable; a marker whose
-/// phase value is out of range is Corrupt.
+/// The version is 3, the only one written or read; any other version is
+/// Corrupt. The writer is durable: the stream goes to `<path>.tmp` and is
+/// fflushed, fsynced, and atomically renamed onto the final path only
+/// when close() succeeds — a crash or write failure never leaves a
+/// half-written trace at the final path. Besides refs, allocations and GC
+/// begin/end events, the record stream holds GC phase markers (opcode 7,
+/// 5 bytes): the stepped collectors emit one marker per bounded step, so a
+/// trace partitions every collector reference by the phase that produced
+/// it and mid-cycle checkpoint placement is observable from the artifact
+/// alone (trace_inspect --gc-phases). A marker whose phase value is out of
+/// range is Corrupt.
 ///
 /// Error handling: open() and close() return Status; mid-stream write
 /// failures (short fwrite, injected trace-write disk-full) latch a sticky
@@ -118,7 +118,7 @@ struct TraceRecord {
 /// substrate for both whole-file replay and checkpointed resume.
 ///
 /// open() reads and validates the entire file up front (framing, record
-/// count, and the version-2 checksum), so next() never fails mid-stream
+/// count, and the footer checksum), so next() never fails mid-stream
 /// and a malformed trace never partially mutates a sink. recordIndex() and
 /// byteOffset() identify the exact resume point for a checkpoint;
 /// seekTo() returns there.
@@ -265,7 +265,7 @@ public:
   std::vector<uint8_t> takeBytes();
 
   uint64_t recordCount() const { return Records; }
-  /// CRC-32 over every record byte ever encoded (the v2 footer value).
+  /// CRC-32 over every record byte ever encoded (the footer value).
   uint32_t crc() const { return RecordCrc.value(); }
 
 private:

@@ -2,9 +2,9 @@
 //
 // The correctness harness for the budget layer (support/Budget.h and
 // friends): flag parsing with env fallback, the cancel-token discipline,
-// watchdog and signal trips, graceful degradation of the analysis sinks,
-// and — the headline guarantee — that a run drained mid-flight by a
-// deadline, signal, or injected watchdog trip leaves an auditable
+// watchdog, signal and memory-budget trips, and — the headline guarantee —
+// that a run drained mid-flight by a deadline, signal, injected watchdog
+// trip or injected memory breach leaves an auditable
 // checkpoint from which a resume finishes bit-identical to an
 // uninterrupted run, serially and threaded. The supervisor's graceful
 // timeout (SIGTERM, grace window, partial attribution) is driven through
@@ -14,7 +14,6 @@
 
 #include "../bench/BenchCommon.h"
 
-#include "gcache/analysis/BlockTracker.h"
 #include "gcache/analysis/MissPlot.h"
 #include "gcache/core/Checkpoint.h"
 #include "gcache/core/Supervisor.h"
@@ -243,31 +242,27 @@ TEST(BudgetFlags, ParseByteSizeAcceptsSuffixesRejectsGarbage) {
   }
 }
 
-TEST(BudgetFlags, ParsesAllFourFlags) {
+TEST(BudgetFlags, ParsesAllThreeFlags) {
   Options O = optionsFrom({"--deadline=0.25", "--max-refs=2m",
-                           "--mem-budget=64k", "--on-budget=stop"});
+                           "--mem-budget=64k"});
   Expected<BudgetSpec> S = parseBudgetFlags(O);
   ASSERT_TRUE(S.ok()) << S.status().message();
   EXPECT_DOUBLE_EQ(S->DeadlineSec, 0.25);
   EXPECT_EQ(S->MaxRefs, 2ull << 20);
   EXPECT_EQ(S->MemBudgetBytes, 64u << 10);
-  EXPECT_FALSE(S->DegradeOnSoft);
   EXPECT_TRUE(S->any());
-  // Soft threshold defaults to 80% of the hard budget.
-  EXPECT_EQ(S->softBytes(), (64u << 10) - (64u << 10) / 5);
 
   EXPECT_FALSE(parseBudgetFlags(optionsFrom({})).take().any());
 }
 
-TEST(BudgetFlags, RejectsNonPositiveMalformedAndUnknownPolicy) {
+TEST(BudgetFlags, RejectsNonPositiveAndMalformed) {
   for (std::vector<const char *> Bad :
        {std::vector<const char *>{"--deadline=0"},
         std::vector<const char *>{"--deadline=-1"},
         std::vector<const char *>{"--deadline=abc"},
         std::vector<const char *>{"--max-refs=0"},
         std::vector<const char *>{"--max-refs=1x"},
-        std::vector<const char *>{"--mem-budget=-64k"},
-        std::vector<const char *>{"--on-budget=panic"}}) {
+        std::vector<const char *>{"--mem-budget=-64k"}}) {
     Expected<BudgetSpec> S = parseBudgetFlags(optionsFrom(Bad));
     ASSERT_FALSE(S.ok()) << Bad[0];
     EXPECT_EQ(S.status().code(), StatusCode::InvalidArgument) << Bad[0];
@@ -310,8 +305,8 @@ TEST(BudgetFlagsDeath, BenchBinariesExitTwoOnBadBudgetFlags) {
   EXPECT_EXIT(Run({"--max-refs=0"}), testing::ExitedWithCode(2), "max-refs");
   EXPECT_EXIT(Run({"--mem-budget=abc"}), testing::ExitedWithCode(2),
               "mem-budget");
-  EXPECT_EXIT(Run({"--on-budget=panic"}), testing::ExitedWithCode(2),
-              "on-budget");
+  EXPECT_EXIT(Run({"--on-budget=degrade"}), testing::ExitedWithCode(2),
+              "unknown flag --on-budget");
 }
 
 //===----------------------------------------------------------------------===//
@@ -363,61 +358,25 @@ TEST(Watchdog, TripsDeadlineFromMonitorThread) {
   EXPECT_FALSE(W.running());
 }
 
-namespace {
-struct CountingDegradable final : Degradable {
-  int Calls = 0;
-  std::string degrade() override {
-    ++Calls;
-    return "counting-sink degraded";
-  }
-};
-} // namespace
-
-TEST(MemoryBudget, SoftBreachDegradesHardBreachDrains) {
+TEST(MemoryBudget, DrainsAtTheCap) {
   GovernanceReset Guard;
-  CountingDegradable Sink;
   BudgetSpec Spec;
-  Spec.MemBudgetBytes = 1000; // soft threshold: 800
+  Spec.MemBudgetBytes = 1000;
   processBudget().configure(Spec);
-  uint64_t Resident = 500;
+  uint64_t Resident = 999;
   processBudget().setMemoryProbe([&Resident] { return Resident; });
 
   processBudget().checkMemory();
-  EXPECT_NO_THROW(pollCancellation("mem"));
-  EXPECT_EQ(Sink.Calls, 0);
-
-  // Soft breach: degrade at the next mutator poll, no cancellation.
-  Resident = 900;
-  processBudget().checkMemory();
   EXPECT_FALSE(cancelToken().requested());
   EXPECT_NO_THROW(pollCancellation("mem"));
-  EXPECT_EQ(Sink.Calls, 1);
-  EXPECT_EQ(processBudget().degradeLevel(), 1u);
-  std::vector<std::string> Notes = processBudget().degradationNotes();
-  ASSERT_EQ(Notes.size(), 1u);
-  EXPECT_EQ(Notes[0], "counting-sink degraded");
 
-  // Hard breach: the token trips with the memory reason.
-  Resident = 1200;
+  // Reaching the budget trips the token with the memory reason.
+  Resident = 1000;
   processBudget().checkMemory();
   EXPECT_TRUE(cancelToken().requested());
   EXPECT_EQ(cancelToken().reason(), CancelReason::MemBudget);
   EXPECT_EQ(outcomeForReason(cancelToken().reason()), UnitOutcome::PartialMem);
   EXPECT_THROW(pollCancellation("mem"), StatusError);
-}
-
-TEST(MemoryBudget, OnBudgetStopSkipsDegradation) {
-  GovernanceReset Guard;
-  CountingDegradable Sink;
-  BudgetSpec Spec;
-  Spec.MemBudgetBytes = 1000;
-  Spec.DegradeOnSoft = false; // --on-budget=stop
-  processBudget().configure(Spec);
-  processBudget().setMemoryProbe([] { return uint64_t(900); });
-  processBudget().checkMemory();
-  EXPECT_TRUE(cancelToken().requested());
-  EXPECT_EQ(cancelToken().reason(), CancelReason::MemBudget);
-  EXPECT_EQ(Sink.Calls, 0);
 }
 
 //===----------------------------------------------------------------------===//
@@ -426,17 +385,18 @@ TEST(MemoryBudget, OnBudgetStopSkipsDegradation) {
 
 namespace {
 
-/// Drains a checkpointed replay via the watchdog-trip fault site at its
-/// Nth poll, audits the drained state, then resumes in fresh objects and
-/// checks bit-identity with the clean run.
-void drainAtPollAndResume(uint64_t Nth, unsigned Threads,
-                          const CacheBank &CleanBank,
+/// Drains a checkpointed replay via the \p Site fault at its Nth poll,
+/// expects the \p Want partial outcome, audits the drained state, then
+/// resumes in fresh objects and checks bit-identity with the clean run.
+void drainAtPollAndResume(FaultSite Site, UnitOutcome Want, uint64_t Nth,
+                          unsigned Threads, const CacheBank &CleanBank,
                           const CountingSink &CleanCounts) {
-  SCOPED_TRACE("watchdog-trip at poll " + std::to_string(Nth) +
+  SCOPED_TRACE(std::string(faultSiteName(Site)) + " at poll " +
+               std::to_string(Nth) +
                (Threads ? ", threads=" + std::to_string(Threads) : ""));
   std::string Snap = std::string(::testing::TempDir()) + "/budget_drain.snap";
   std::remove(Snap.c_str());
-  faultInjector().arm({FaultSite::WatchdogTrip, Nth, 0});
+  faultInjector().arm({Site, Nth, 0});
   cancelToken().reset();
 
   ReplayCheckpointOptions Opts;
@@ -453,7 +413,7 @@ void drainAtPollAndResume(uint64_t Nth, unsigned Threads,
         replayTraceCheckpointed(recordedTracePath(), Bank, Counts, Opts);
     ASSERT_TRUE(R.ok()) << R.status().message();
     ASSERT_TRUE(R->partial());
-    EXPECT_EQ(R->Outcome, UnitOutcome::PartialDeadline);
+    EXPECT_EQ(R->Outcome, Want);
     EXPECT_NE(R->OutcomeNote.find("replay"), std::string::npos)
         << "note must name the poll site";
     EXPECT_GE(R->Coverage, 0.0);
@@ -469,19 +429,29 @@ void drainAtPollAndResume(uint64_t Nth, unsigned Threads,
 
 } // namespace
 
-// The acceptance guarantee: a deadline-style trip at various poll sites
-// drains to an auditable checkpoint, and resuming finishes bit-identical
-// to the uninterrupted replay — serially and with shard workers.
+// The acceptance guarantee: a deadline-style trip or a memory breach at
+// various poll sites drains to an auditable checkpoint, and resuming
+// finishes bit-identical to the uninterrupted replay — serially and with
+// shard workers.
 TEST(BudgetDrain, DrainedReplayResumesBitIdentical) {
   GovernanceReset Guard;
   CacheBank CleanBank;
   CountingSink CleanCounts;
   cleanReplay(CleanBank, CleanCounts);
 
-  for (uint64_t Nth : {uint64_t(1), uint64_t(2), uint64_t(7), uint64_t(23)})
-    drainAtPollAndResume(Nth, /*Threads=*/0, CleanBank, CleanCounts);
-  for (uint64_t Nth : {uint64_t(2), uint64_t(11)})
-    drainAtPollAndResume(Nth, /*Threads=*/4, CleanBank, CleanCounts);
+  struct Trip {
+    FaultSite Site;
+    UnitOutcome Want;
+  };
+  for (Trip T : {Trip{FaultSite::WatchdogTrip, UnitOutcome::PartialDeadline},
+                 Trip{FaultSite::BudgetProbe, UnitOutcome::PartialMem}}) {
+    for (uint64_t Nth : {uint64_t(1), uint64_t(2), uint64_t(7), uint64_t(23)})
+      drainAtPollAndResume(T.Site, T.Want, Nth, /*Threads=*/0, CleanBank,
+                           CleanCounts);
+    for (uint64_t Nth : {uint64_t(2), uint64_t(11)})
+      drainAtPollAndResume(T.Site, T.Want, Nth, /*Threads=*/4, CleanBank,
+                           CleanCounts);
+  }
 }
 
 // A real SIGTERM (through the installed handler) requests the same drain:
@@ -551,8 +521,6 @@ TEST(BudgetDrain, PartialOutcomeRoundTripsThroughUnitSnapshot) {
   Run.Outcome = UnitOutcome::PartialDeadline;
   Run.OutcomeNote = "deadline requested at vm-step";
   Run.Coverage = 0.375;
-  Run.Degraded = true;
-  Run.DegradeNote = "block-tracker: sampling 1 in 16";
   ASSERT_TRUE(saveUnitSnapshot(Path, Run, O.Scale).ok());
 
   Expected<ProgramRun> Loaded = loadUnitSnapshot(Path, Run.Name, O.Scale);
@@ -561,16 +529,16 @@ TEST(BudgetDrain, PartialOutcomeRoundTripsThroughUnitSnapshot) {
   EXPECT_EQ(Loaded->Outcome, UnitOutcome::PartialDeadline);
   EXPECT_EQ(Loaded->OutcomeNote, Run.OutcomeNote);
   EXPECT_DOUBLE_EQ(Loaded->Coverage, 0.375);
-  EXPECT_TRUE(Loaded->Degraded);
-  EXPECT_EQ(Loaded->DegradeNote, Run.DegradeNote);
   std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//
-// Degradation of the analysis sinks
+// Analysis-sink snapshots
 //===----------------------------------------------------------------------===//
 
-TEST(MissPlotDegrade, CoarsensTimeAxisAndAdoptsItOnLoad) {
+// A miss-plot snapshot loads only into a plot on the same time axis; one
+// cut at a different refs/column is someone else's snapshot.
+TEST(MissPlotSnapshot, RejectsDifferentRefsPerColumn) {
   GovernanceReset Guard;
   CacheConfig Config{.SizeBytes = 1024, .BlockBytes = 64};
   MissPlot P(Config, /*RefsPerColumn=*/4);
@@ -583,95 +551,28 @@ TEST(MissPlotDegrade, CoarsensTimeAxisAndAdoptsItOnLoad) {
   P.onRef(load(Base + 64));   // miss: column 1, block 1
   ASSERT_EQ(P.columns(), 2u);
 
-  std::string Note = P.degrade();
-  EXPECT_FALSE(Note.empty());
-  EXPECT_TRUE(P.degraded());
-  EXPECT_EQ(P.refsPerColumn(), 8u);
-  // The plot laws survive: merged cells keep their marks, and columns
-  // never exceed ceil(refs/refsPerColumn) (they materialize on misses).
-  EXPECT_EQ(P.columns(), (P.refsSeen() + 7) / 8);
-  EXPECT_TRUE(P.missedAt(0, 0));
-  EXPECT_TRUE(P.missedAt(0, 1));
-
-  // Accumulation continues on the coarser axis: pad into the second
-  // 8-ref column, then force a conflict miss there.
-  for (int I = 0; I != 4; ++I)
-    P.onRef(load(Base));
-  P.onRef(load(Base + 2048)); // ref index 10 → coarse column 1
-  EXPECT_EQ(P.columns(), 2u);
-  EXPECT_TRUE(P.missedAt(1, 0));
-  EXPECT_EQ(P.columns(), (P.refsSeen() + 7) / 8);
-
-  // A snapshot cut after coarsening loads into a freshly constructed plot
-  // (base axis), which adopts the coarser axis.
   SnapshotWriter W;
   P.saveTo(W);
-  std::string Path =
-      std::string(::testing::TempDir()) + "/missplot_degraded.gcsnap";
+  std::string Path = std::string(::testing::TempDir()) + "/missplot.gcsnap";
   ASSERT_TRUE(W.writeFile(Path).ok());
   SnapshotReader Rd;
   ASSERT_TRUE(Rd.open(Path).ok());
-  MissPlot Q(Config, 4);
-  ASSERT_TRUE(Q.loadFrom(Rd).ok());
-  EXPECT_EQ(Q.refsPerColumn(), 8u);
-  EXPECT_EQ(Q.columns(), P.columns());
-  EXPECT_EQ(Q.refsSeen(), P.refsSeen());
-  EXPECT_TRUE(Q.missedAt(0, 1));
 
-  // An axis that is not base * 2^k is someone else's snapshot.
-  MissPlot Incompatible(Config, 3);
-  Status S = Incompatible.loadFrom(Rd);
-  ASSERT_FALSE(S.ok());
-  EXPECT_EQ(S.code(), StatusCode::Corrupt);
+  MissPlot Same(Config, 4);
+  ASSERT_TRUE(Same.loadFrom(Rd).ok());
+  EXPECT_EQ(Same.columns(), P.columns());
+  EXPECT_EQ(Same.refsSeen(), P.refsSeen());
+  EXPECT_TRUE(Same.missedAt(1, 1));
+
+  for (uint32_t Other : {2u, 8u}) {
+    MissPlot Q(Config, Other);
+    Status S = Q.loadFrom(Rd);
+    ASSERT_FALSE(S.ok()) << Other;
+    EXPECT_EQ(S.code(), StatusCode::Corrupt) << Other;
+    EXPECT_EQ(Q.refsPerColumn(), Other) << "a rejected load changes nothing";
+    EXPECT_EQ(Q.columns(), 0u);
+  }
   std::remove(Path.c_str());
-}
-
-TEST(BlockTrackerDegrade, StrideSamplingIsDeterministicAndScaled) {
-  GovernanceReset Guard;
-  constexpr Address Dyn = Heap::DynamicBase;
-  auto FeedDense = [](BlockTracker &T) {
-    T.onAlloc(Dyn, 64 * 64); // 64 dynamic blocks, all referenced
-    for (int I = 0; I != 64; ++I)
-      T.onRef(load(Dyn + static_cast<Address>(I) * 64));
-  };
-  auto FeedSampled = [](BlockTracker &T) {
-    T.onAlloc(Dyn + 64 * 64, 256 * 64); // 256 more blocks past the freeze
-    for (int I = 64; I != 320; ++I)
-      T.onRef(load(Dyn + static_cast<Address>(I) * 64));
-  };
-
-  BlockTracker A(64, 256), B(64, 256);
-  FeedDense(A);
-  FeedDense(B);
-  std::string Note = A.degrade();
-  EXPECT_FALSE(Note.empty());
-  EXPECT_TRUE(A.degraded());
-  EXPECT_EQ(A.sampleStride(), 16u);
-  EXPECT_FALSE(B.degrade().empty());
-  FeedSampled(A);
-  FeedSampled(B);
-
-  BlockSummary SA = A.computeSummary();
-  BlockSummary SB = B.computeSummary();
-  EXPECT_TRUE(SA.Degraded);
-  EXPECT_EQ(SA.SampleStride, 16u);
-  // Uniformly touched blocks: 64 exact + 16 sampled * stride 16 = 320,
-  // i.e. the scaled estimate is exact here.
-  EXPECT_EQ(SA.TotalRefs, 320u);
-  EXPECT_EQ(SA.DynamicBlocks, 320u);
-  // Deterministic: an identical run degrades to identical numbers.
-  EXPECT_EQ(SA.DynamicBlocks, SB.DynamicBlocks);
-  EXPECT_EQ(SA.OneCycleBlocks, SB.OneCycleBlocks);
-  EXPECT_EQ(SA.MultiCycleBlocks, SB.MultiCycleBlocks);
-  EXPECT_EQ(SA.BusyDynamicBlocks, SB.BusyDynamicBlocks);
-  EXPECT_EQ(SA.BusyRefs, SB.BusyRefs);
-
-  // A second degrade step doubles the stride.
-  BlockTracker C(64, 256);
-  FeedDense(C);
-  EXPECT_FALSE(C.degrade().empty());
-  EXPECT_FALSE(C.degrade().empty());
-  EXPECT_EQ(C.sampleStride(), 32u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -1175,6 +1175,54 @@ TEST(ServeDaemon, SigtermDrainsToResumablePartials) {
   }
 }
 
+// A delivered partial hands its spool and checkpoint to the manifest's
+// partials[] for a later resume, so closing the connection it was
+// delivered on must not delete them.
+TEST(ServeDaemon, DeliveredPartialKeepsItsSpoolAndCheckpoint) {
+  GovernanceReset G;
+  Daemon D = startDaemon([](ServeOptions &O) {
+    O.CheckpointEveryRecords = 1000;
+    O.DrainGraceMs = 30000;
+  });
+  Stream S = makeStream(300000, 56);
+  std::string Config = "size=16k,block=32;size=64k,block=64;size=256k,block=128";
+
+  Client C;
+  C.connect(D.Sock);
+  C.hello("kept", Config);
+  C.data(S.Bytes);
+  C.end(S.Records, S.Crc);
+
+  // Drain once the job has cut its first checkpoint: it is then provably
+  // mid-run, with nearly all of its records still ahead of it.
+  for (int I = 0; I < 5000 && countFilesWithPrefix(D.Dir, "job_") < 1; ++I)
+    usleep(1000);
+  ASSERT_GE(countFilesWithPrefix(D.Dir, "job_"), 1) << "job never started";
+  D.term();
+
+  Frame F = C.recv(60000);
+  ASSERT_EQ(F.Type, FrameType::Reply);
+  ASSERT_NE(jsonFindString(F.payloadText(), "outcome"), "ok")
+      << "the drain must land mid-job";
+  C.disconnect();
+  EXPECT_EQ(D.waitExit(), ServeExitDrained);
+
+  std::string M = D.manifest();
+  size_t At = M.find("\"partials\":[{");
+  ASSERT_NE(At, std::string::npos) << M;
+  int Entries = 0;
+  for (At = M.find("\"spool\":", At); At != std::string::npos;
+       At = M.find("\"spool\":", At + 1)) {
+    std::string Entry = M.substr(At);
+    std::string Spool = jsonFindString(Entry, "spool");
+    std::string Ckpt = jsonFindString(Entry, "checkpoint");
+    EXPECT_EQ(access(Spool.c_str(), F_OK), 0) << Spool;
+    EXPECT_EQ(access(Ckpt.c_str(), F_OK), 0) << Ckpt;
+    ++Entries;
+  }
+  EXPECT_EQ(Entries, 1) << M;
+}
+
 TEST(ServeDaemon, StatusEndpointAnswersBeforeHello) {
   GovernanceReset G;
   Daemon D = startDaemon();

@@ -121,12 +121,22 @@ void writeRaw(const std::string &Path, const std::vector<uint8_t> &Bytes) {
 }
 
 /// A valid header claiming \p Records records, with \p Version.
-std::vector<uint8_t> header(uint32_t Records, uint32_t Version = 1) {
+std::vector<uint8_t> header(uint32_t Records, uint32_t Version = 3) {
   std::vector<uint8_t> H(16, 0);
   std::memcpy(H.data(), "GCTR", 4);
   H[4] = static_cast<uint8_t>(Version);
   H[8] = static_cast<uint8_t>(Records);
   return H;
+}
+
+/// Appends the "GCTF" + CRC footer over the record bytes after the header,
+/// so a hand-built file's only defect is the one under test.
+std::vector<uint8_t> withFooter(std::vector<uint8_t> Bytes) {
+  uint32_t Crc = crc32(Bytes.data() + 16, Bytes.size() - 16);
+  Bytes.insert(Bytes.end(), {'G', 'C', 'T', 'F'});
+  for (int I = 0; I != 4; ++I)
+    Bytes.push_back(static_cast<uint8_t>(Crc >> (8 * I)));
+  return Bytes;
 }
 
 /// Expects replay of \p Bytes to fail with -1 and to leave the sink
@@ -158,7 +168,10 @@ TEST(TraceFile, RejectsBadMagic) {
 }
 
 TEST(TraceFile, RejectsWrongVersion) {
-  expectRejectedWithoutSinkMutation("bad_version", header(0, /*Version=*/4));
+  // Versions 1 (no footer) and 2 are as unreadable as a future version.
+  for (uint32_t Version : {1u, 2u, 4u})
+    expectRejectedWithoutSinkMutation("bad_version",
+                                      withFooter(header(0, Version)));
 }
 
 TEST(TraceFile, RejectsMidRecordEofWithoutMutatingSink) {
@@ -183,14 +196,14 @@ TEST(TraceFile, RejectsUnknownOpcodeWithoutMutatingSink) {
   std::vector<uint8_t> Bytes = header(2);
   Bytes.insert(Bytes.end(), {0 /*OpLoadMut*/, 0x00, 0x10, 0x00, 0x00});
   Bytes.insert(Bytes.end(), {0x7f /*bogus*/, 0x00, 0x00, 0x00, 0x00});
-  expectRejectedWithoutSinkMutation("bad_opcode", Bytes);
+  expectRejectedWithoutSinkMutation("bad_opcode", withFooter(Bytes));
 }
 
 TEST(TraceFile, RejectsRecordCountMismatchWithoutMutatingSink) {
   // Header promises three records but the stream holds one.
   std::vector<uint8_t> Bytes = header(3);
   Bytes.insert(Bytes.end(), {0 /*OpLoadMut*/, 0x00, 0x10, 0x00, 0x00});
-  expectRejectedWithoutSinkMutation("count_mismatch", Bytes);
+  expectRejectedWithoutSinkMutation("count_mismatch", withFooter(Bytes));
 }
 
 //===----------------------------------------------------------------------===//
@@ -238,23 +251,6 @@ TEST(TraceFileV2, WriterEmitsCurrentVersionWithFooter) {
   ASSERT_EQ(Bytes.size(), 16u + 4 * 5 + 8);
   EXPECT_EQ(Bytes[4], 3u) << "writer must stamp the current version";
   EXPECT_EQ(std::memcmp(Bytes.data() + Bytes.size() - 8, "GCTF", 4), 0);
-  std::remove(Path.c_str());
-}
-
-TEST(TraceFileV2, VersionOneFilesWithoutFooterStillReplay) {
-  // A hand-built v1 file: no footer, just header + records.
-  std::vector<uint8_t> Bytes = header(2, /*Version=*/1);
-  Bytes.insert(Bytes.end(), {0 /*OpLoadMut*/, 0x00, 0x10, 0x00, 0x00});
-  Bytes.insert(Bytes.end(), {4 /*OpAlloc*/, 0x00, 0x20, 0x00, 0x00, 0x18, 0x00,
-                             0x00, 0x00});
-  std::string Path = tempPath("v1_compat.gct");
-  writeRaw(Path, Bytes);
-  CountingSink S;
-  Expected<uint64_t> R = TraceReader::replayEx(Path, S);
-  ASSERT_TRUE(R.ok()) << R.status().message();
-  EXPECT_EQ(*R, 2u);
-  EXPECT_EQ(S.totalRefs(), 1u);
-  EXPECT_EQ(S.allocatedBytes(), 0x18u);
   std::remove(Path.c_str());
 }
 
@@ -514,7 +510,7 @@ TEST(TraceFileV3, RejectsIdlePhasePayloadWithoutMutatingSink) {
   // Idle is never emitted as a marker, so its payload value is invalid.
   std::vector<uint8_t> Bytes = header(1);
   Bytes.insert(Bytes.end(), {7 /*OpGcPhase*/, 0x00, 0x00, 0x00, 0x00});
-  expectRejectedWithoutSinkMutation("phase_idle", Bytes);
+  expectRejectedWithoutSinkMutation("phase_idle", withFooter(Bytes));
 }
 
 TEST(TraceFileV3, RejectsOutOfRangePhasePayloadWithoutMutatingSink) {
@@ -523,14 +519,14 @@ TEST(TraceFileV3, RejectsOutOfRangePhasePayloadWithoutMutatingSink) {
   std::vector<uint8_t> Bytes = header(2);
   Bytes.insert(Bytes.end(), {7 /*OpGcPhase*/, 0x01, 0x00, 0x00, 0x00});
   Bytes.insert(Bytes.end(), {7 /*OpGcPhase*/, 0x63, 0x00, 0x00, 0x00});
-  expectRejectedWithoutSinkMutation("phase_range", Bytes);
+  expectRejectedWithoutSinkMutation("phase_range", withFooter(Bytes));
 }
 
 TEST(TraceFileV3, StreamReportsInvalidPhaseAsCorrupt) {
   std::string Path = tempPath("phase_corrupt.gct");
   std::vector<uint8_t> Bytes = header(1);
   Bytes.insert(Bytes.end(), {7 /*OpGcPhase*/, 0x07, 0x00, 0x00, 0x00});
-  writeRaw(Path, Bytes);
+  writeRaw(Path, withFooter(Bytes));
   TraceStream S;
   Status St = S.open(Path, /*Salvage=*/false);
   ASSERT_FALSE(St.ok());

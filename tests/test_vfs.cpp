@@ -10,10 +10,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "gcache/core/Checkpoint.h"
+#include "gcache/memsys/CacheBank.h"
 #include "gcache/support/FaultInjector.h"
 #include "gcache/support/Snapshot.h"
 #include "gcache/support/Status.h"
 #include "gcache/support/Vfs.h"
+#include "gcache/trace/Sinks.h"
 #include "gcache/trace/TraceFile.h"
 
 #include <gtest/gtest.h>
@@ -403,20 +406,38 @@ TEST_F(VfsTest, AbTornCheckpointWriteFallsBackToPreviousGeneration) {
   EXPECT_EQ(abReadPayload(R), "good");
 }
 
-TEST_F(VfsTest, AbLegacyBareFileStillLoads) {
+TEST_F(VfsTest, AbBareFileIsNotACheckpoint) {
   FaultVfs Fv;
   ScopedVfs Guard(Fv);
+  {
+    TraceWriter W;
+    ASSERT_TRUE(W.open("t.gct").ok());
+    for (Address A = 0; A != 8 * 8; A += 8)
+      W.onRef({0x1000 + A, AccessKind::Load, Phase::Mutator});
+    ASSERT_TRUE(W.close().ok());
+  }
+  // A snapshot at the base path itself, not in an A/B slot.
   const std::string Base = "ckpt.snap";
-  SnapshotWriter W = makeSnapshot("legacy");
-  ASSERT_TRUE(W.writeFile(Base).ok());
+  SnapshotWriter Bare = makeSnapshot("bare");
+  ASSERT_TRUE(Bare.writeFile(Base).ok());
 
-  ASSERT_TRUE(snapshotAbExists(Base));
+  EXPECT_FALSE(snapshotAbExists(Base));
   SnapshotReader R;
-  AbSlotInfo Info;
-  ASSERT_TRUE(openSnapshotAb(R, Base, &Info).ok());
-  EXPECT_EQ(Info.Generation, 0u);
-  EXPECT_EQ(Info.LoadedPath, Base);
-  EXPECT_EQ(abReadPayload(R), "legacy");
+  EXPECT_FALSE(openSnapshotAb(R, Base).ok());
+
+  // Resume finds no checkpoint and replays from the first record.
+  CacheBank Bank;
+  Bank.addConfig(CacheConfig());
+  CountingSink Counts;
+  ReplayCheckpointOptions Opts;
+  Opts.SnapshotPath = Base;
+  Opts.Resume = true;
+  Expected<ReplayCheckpointResult> Res =
+      replayTraceCheckpointed("t.gct", Bank, Counts, Opts);
+  ASSERT_TRUE(Res.ok()) << Res.status().message();
+  EXPECT_FALSE(Res->Resumed);
+  EXPECT_EQ(Res->RecordsReplayed, 8u);
+  EXPECT_EQ(Counts.totalRefs(), 8u);
 }
 
 TEST_F(VfsTest, AbBothSlotsDamagedIsAnError) {
