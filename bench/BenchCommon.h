@@ -47,7 +47,9 @@
 ///   --supervise  run the sweep in a forked child watched by a supervisor
 ///                that restarts crashes/timeouts from the snapshots, up to
 ///                --retries times per unit (then the unit degrades to a
-///                recorded failure), writing manifest.json into D
+///                recorded failure). The child reports each unit's start
+///                and outcome over a pipe; D ends up holding only the
+///                unit snapshots and manifest.json
 ///   --retries N  supervised retries per failing unit (default 2)
 ///   --timeout S  stop a supervised child running longer than S seconds
 ///                (SIGTERM drain first, SIGKILL only after --grace)
@@ -157,26 +159,17 @@ inline BenchArgs parseBenchArgs(int Argc, char **Argv,
     std::exit(2);
   }
 
-  Expected<double> Scale = A.Opts.getStrictDouble("scale", 0.3);
-  if (!Scale.ok()) {
-    std::fprintf(stderr, "error: %s\n", Scale.status().message().c_str());
-    std::exit(2);
-  }
-  A.Scale = *Scale;
-
-  Expected<unsigned> Threads = A.Opts.getStrictUnsigned("threads", 0);
-  if (!Threads.ok()) {
-    std::fprintf(stderr, "error: %s\n", Threads.status().message().c_str());
-    std::exit(2);
-  }
-  A.Threads = *Threads;
-
-  Expected<unsigned> Batch = A.Opts.getStrictUnsigned("batch", 0);
-  if (!Batch.ok()) {
-    std::fprintf(stderr, "error: %s\n", Batch.status().message().c_str());
-    std::exit(2);
-  }
-  A.BatchRefs = *Batch;
+  // A malformed value is as fatal as an unknown flag.
+  auto OrExit = [](auto Value) {
+    if (!Value.ok()) {
+      std::fprintf(stderr, "error: %s\n", Value.status().message().c_str());
+      std::exit(2);
+    }
+    return *Value;
+  };
+  A.Scale = OrExit(A.Opts.getStrictDouble("scale", 0.3));
+  A.Threads = OrExit(A.Opts.getStrictUnsigned("threads", 0));
+  A.BatchRefs = OrExit(A.Opts.getStrictUnsigned("batch", 0));
   A.NoBatch = A.Opts.getBool("no-batch", false);
 
   A.Csv = A.Opts.getBool("csv", false);
@@ -201,13 +194,7 @@ inline BenchArgs parseBenchArgs(int Argc, char **Argv,
 
   // A bare --crosscheck parses as "1" (Options convention): compare every
   // reference. --crosscheck=N samples the comparison every N refs.
-  Expected<unsigned> CrossCheck = A.Opts.getStrictUnsigned("crosscheck", 0);
-  if (!CrossCheck.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 CrossCheck.status().message().c_str());
-    std::exit(2);
-  }
-  A.CrossCheckEvery = *CrossCheck;
+  A.CrossCheckEvery = OrExit(A.Opts.getStrictUnsigned("crosscheck", 0));
   A.Audit = A.Opts.getBool("audit", false);
 
   // --fault falls back to GCACHE_FAULT via the Options env convention;
@@ -220,30 +207,16 @@ inline BenchArgs parseBenchArgs(int Argc, char **Argv,
 
   // Checkpointing and supervision (core/Checkpoint.h, core/Supervisor.h).
   A.CheckpointDir = A.Opts.get("checkpoint-dir", "");
-  Expected<unsigned> Every = A.Opts.getStrictUnsigned("checkpoint-every", 0);
-  Expected<unsigned> Retries = A.Opts.getStrictUnsigned("retries", 2);
-  Expected<unsigned> Timeout = A.Opts.getStrictUnsigned("timeout", 0);
-  Expected<unsigned> Grace = A.Opts.getStrictUnsigned("grace", 10);
-  for (const auto *E : {&Every, &Retries, &Timeout, &Grace})
-    if (!E->ok()) {
-      std::fprintf(stderr, "error: %s\n", E->status().message().c_str());
-      std::exit(2);
-    }
-  A.CheckpointEvery = *Every;
-  A.Retries = *Retries;
-  A.TimeoutSec = *Timeout;
-  A.GraceSec = *Grace;
+  A.CheckpointEvery = OrExit(A.Opts.getStrictUnsigned("checkpoint-every", 0));
+  A.Retries = OrExit(A.Opts.getStrictUnsigned("retries", 2));
+  A.TimeoutSec = OrExit(A.Opts.getStrictUnsigned("timeout", 0));
+  A.GraceSec = OrExit(A.Opts.getStrictUnsigned("grace", 10));
 
   // Resource budgets (support/Budget.h): deadline, reference budget,
   // memory budget. Configured before any supervise fork so children
   // inherit the budget *and its start time* — a supervised restart must
   // not extend the deadline.
-  Expected<BudgetSpec> Budget = parseBudgetFlags(A.Opts);
-  if (!Budget.ok()) {
-    std::fprintf(stderr, "error: %s\n", Budget.status().message().c_str());
-    std::exit(2);
-  }
-  A.Budget = *Budget;
+  A.Budget = OrExit(parseBudgetFlags(A.Opts));
   processBudget().configure(A.Budget);
 
   // Graceful shutdown: first SIGTERM/SIGINT requests a drain, the second
@@ -266,11 +239,6 @@ inline BenchArgs parseBenchArgs(int Argc, char **Argv,
   if (!A.CheckpointDir.empty()) {
     mkdir(A.CheckpointDir.c_str(), 0755); // may already exist
     sweepStaleTmpFiles(A.CheckpointDir);  // half-written snapshots
-    // A fresh (non-resuming, unsupervised) run starts its outcome ledger
-    // over; resumed runs append, last entry per unit wins. The supervisor
-    // clears it in superviseLoop before the first fork.
-    if (!A.Resume && !A.Supervise)
-      std::remove(Ctx.outcomesPath().c_str());
   }
 
   if (A.Supervise) {
@@ -282,9 +250,9 @@ inline BenchArgs parseBenchArgs(int Argc, char **Argv,
     SuperviseOutcome Outcome = superviseLoop(SOpts);
     if (!Outcome.InChild)
       std::exit(Outcome.ExitCode); // supervisor parent: the run is over
-    // Supervised child: always resume — restarts must skip finished
-    // units — and fast-abort on unit failure so the supervisor retries.
-    Ctx.Supervised = true;
+    // Supervised child (superviseLoop set Ctx.ReportFd, so failing units
+    // fast-abort for a retry): always resume — restarts must skip
+    // finished units.
     Ctx.Resume = true;
     // A restarted child starts with a fresh token even if the previous
     // child died draining; the supervisor re-signals when it still wants
@@ -293,8 +261,8 @@ inline BenchArgs parseBenchArgs(int Argc, char **Argv,
   }
 
   // The watchdog thread backs up the cooperative deadline/memory checks.
-  // It must start AFTER the supervise fork: threads do not survive
-  // fork(), so starting it earlier would leave the child watchdog-less.
+  // It must start AFTER the supervise fork: threads do not survive a
+  // fork, so starting it earlier would leave the child watchdog-less.
   if (processBudget().active())
     processWatchdog().start();
   return A;
@@ -339,7 +307,7 @@ public:
     CheckpointContext &Ctx = checkpointContext();
     bool CanSnapshot = Ctx.enabled() && Opts.ExtraSinks.empty();
 
-    if (Ctx.enabled() && isUnitDenied(Ctx, Unit)) {
+    if (Ctx.isDenied(Unit)) {
       Status S = Status::fail(
           StatusCode::Aborted,
           "unit denied after exhausting supervised retries");
@@ -356,8 +324,8 @@ public:
       std::fprintf(stderr, "CANCELLED %s: %s\n", Unit.c_str(),
                    S.message().c_str());
       ++Partials;
-      recordOutcome(Ctx, Unit, unitOutcomeName(UnitOutcome::Cancelled), -1.0,
-                    S.message());
+      reportUnitOutcome(Unit, unitOutcomeName(UnitOutcome::Cancelled), -1.0,
+                        S.message());
       return S;
     }
     if (CanSnapshot && Ctx.Resume) {
@@ -367,8 +335,8 @@ public:
       // re-runs from scratch (deterministically) on resume.
       if (Cached.ok() && !Cached->partial()) {
         ++Succeeded;
-        recordOutcome(Ctx, Unit, unitOutcomeName(Cached->Outcome),
-                      Cached->Coverage, Cached->OutcomeNote);
+        reportUnitOutcome(Unit, unitOutcomeName(Cached->Outcome),
+                          Cached->Coverage, Cached->OutcomeNote);
         return Cached;
       }
       // Missing snapshot: the unit never finished — run it. A damaged
@@ -376,7 +344,7 @@ public:
       // rather than trusted.
     }
 
-    markUnitInProgress(Ctx, Unit);
+    reportUnitStart(Unit);
     Expected<ProgramRun> R = tryRunProgram(W, Opts);
     if (R.ok()) {
       if (R->partial()) {
@@ -395,23 +363,19 @@ public:
             !S.ok())
           std::fprintf(stderr, "warning: %s: checkpoint not written: %s\n",
                        Unit.c_str(), S.toString().c_str());
-      recordOutcome(Ctx, Unit, unitOutcomeName(R->Outcome), R->Coverage,
-                    R->OutcomeNote);
-      clearUnitInProgress(Ctx);
+      reportUnitOutcome(Unit, unitOutcomeName(R->Outcome), R->Coverage,
+                        R->OutcomeNote);
       return R;
     }
-    if (Ctx.Supervised) {
-      // Leave the in-progress marker for crash attribution and hand the
-      // unit back to the supervisor for a retry.
+    if (Ctx.supervised()) {
+      // The unit reported its start but no outcome, so the supervisor
+      // charges this exit to it and restarts the sweep for a retry.
       std::fprintf(stderr, "FAILED %s: %s (supervised: requesting retry)\n",
                    Unit.c_str(), R.status().toString().c_str());
       std::fflush(nullptr);
       _exit(SupervisedAbortExit);
     }
     recordFailure(Unit, R.status());
-    recordOutcome(Ctx, Unit, unitOutcomeName(UnitOutcome::Failed), -1.0,
-                  R.status().message());
-    clearUnitInProgress(Ctx);
     return R;
   }
 
@@ -450,25 +414,6 @@ public:
   }
 
 private:
-  /// Appends one line to the per-unit outcome ledger the supervisor folds
-  /// into manifest.json. No-op when checkpointing is disabled.
-  static void recordOutcome(const CheckpointContext &Ctx,
-                            const std::string &Unit, const char *Outcome,
-                            double Coverage, const std::string &Note) {
-    if (!Ctx.enabled())
-      return;
-    if (FILE *F = std::fopen(Ctx.outcomesPath().c_str(), "ab")) {
-      // Tabs are the field separators; scrub them out of the free text.
-      std::string CleanNote = Note;
-      for (char &C : CleanNote)
-        if (C == '\t' || C == '\n')
-          C = ' ';
-      std::fprintf(F, "%s\t%s\t%.6g\t%s\n", Unit.c_str(), Outcome, Coverage,
-                   CleanNote.c_str());
-      std::fclose(F);
-    }
-  }
-
   unsigned Succeeded = 0;
   unsigned Partials = 0;
   std::vector<std::pair<std::string, Status>> Failures;

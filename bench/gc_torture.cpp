@@ -8,8 +8,8 @@
 // Modes:
 //   (default)           one uninterrupted run; print its digest
 //   --kill-at=<n>       simulate a kill at global step boundary n (the
-//                       in-process Aborted throw), resume from the cut,
-//                       and compare digests
+//                       gc-step-abort fault site's in-process Aborted
+//                       throw), resume from the cut, and compare digests
 //   --sweep             kill at EVERY step boundary, one forked child per
 //                       kill point: the child arms the gc-step-kill fault
 //                       site for its boundary and genuinely dies by
@@ -35,9 +35,9 @@
 #include "BenchCommon.h"
 
 #include "gcache/core/GcTorture.h"
+#include "gcache/support/ChildProcess.h"
 
 #include <csignal>
-#include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -50,11 +50,7 @@ namespace {
 /// Never returns normally — either the kernel kills us at the boundary or
 /// we _exit with a status the parent reports as a harness failure.
 [[noreturn]] void runSweepChild(const GcTortureConfig &Cfg, uint64_t Kill) {
-  char Spec[64];
-  std::snprintf(Spec, sizeof(Spec), "gc-step-kill:%llu",
-                static_cast<unsigned long long>(Kill));
-  if (Status S = faultInjector().armFromSpec(Spec); !S.ok())
-    _exit(40);
+  faultInjector().arm({FaultSite::GcStepKill, Kill});
   try {
     GcTortureRun Run(Cfg);
     Run.run(); // SIGKILL fires inside a stepCycle boundary.
@@ -176,11 +172,12 @@ int main(int Argc, char **Argv) {
   };
 
   if (KillAt) {
-    // In-process simulated kill: the run throws Aborted right after the
-    // boundary's cut lands on disk.
+    // In-process simulated kill: the gc-step-abort site throws Aborted
+    // right after the boundary's cut lands on disk. Arming resets the
+    // site counters, so the Nth boundary of this run is the one.
+    faultInjector().arm({FaultSite::GcStepAbort, KillAt});
     GcTortureConfig KillCfg = Cfg;
     KillCfg.SnapshotPath = SnapPath;
-    KillCfg.KillAtStep = KillAt;
     bool Killed = false;
     try {
       GcTortureRun Run(KillCfg);
@@ -210,20 +207,15 @@ int main(int Argc, char **Argv) {
   GcTortureConfig ChildCfg = Cfg;
   ChildCfg.SnapshotPath = SnapPath;
   for (uint64_t Kill = 1; Kill <= Boundaries; ++Kill) {
-    std::fflush(stdout);
-    std::fflush(stderr);
-    pid_t Pid = fork();
-    if (Pid < 0) {
-      std::perror("fork");
+    ChildProcess Child;
+    if (Status S = Child.spawn(); !S.ok()) {
+      std::fprintf(stderr, "kill %llu: %s\n",
+                   static_cast<unsigned long long>(Kill), S.message().c_str());
       return 1;
     }
-    if (Pid == 0)
+    if (Child.inChild())
       runSweepChild(ChildCfg, Kill);
-    int WStatus = 0;
-    if (waitpid(Pid, &WStatus, 0) != Pid) {
-      std::perror("waitpid");
-      return 1;
-    }
+    int WStatus = Child.wait();
     if (!WIFSIGNALED(WStatus) || WTERMSIG(WStatus) != SIGKILL) {
       std::fprintf(stderr,
                    "kill %llu: child did not die by SIGKILL (status %d)\n",

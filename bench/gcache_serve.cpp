@@ -1,6 +1,6 @@
 //===- gcache_serve.cpp - Streaming trace service daemon -------------------===//
 //
-// The gcache_serve daemon: accepts CRC-framed v2 reference traces over a
+// The gcache_serve daemon: accepts CRC-framed v3 reference traces over a
 // Unix-domain socket (or serves one session over stdin/stdout) and
 // multiplexes the client simulations across a pool of crash-contained
 // forked workers. See core/TraceService.h for the robustness contract and
@@ -32,7 +32,9 @@
 //
 // Validation modes (applied to every job):
 //   --crosscheck=N        shadow-oracle cross-check period (0 = off)
-//   --audit               conservation audits at checkpoints and at end
+//   --audit               conservation audits at checkpoints and at end;
+//                         every manifest's partials[] must name existing
+//                         files (exit 1 otherwise)
 //   --threads=N           bank shard threads per worker (0 = serial)
 //
 // High availability (EXPERIMENTS.md "High availability"):

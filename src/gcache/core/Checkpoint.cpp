@@ -36,18 +36,6 @@ CheckpointContext::unitSnapshotPath(const std::string &UnitName) const {
   return Dir + "/" + sanitizeName(UnitName) + ".snap";
 }
 
-std::string CheckpointContext::inProgressPath() const {
-  return Dir + "/inprogress";
-}
-
-std::string CheckpointContext::denyListPath() const {
-  return Dir + "/deny.list";
-}
-
-std::string CheckpointContext::outcomesPath() const {
-  return Dir + "/outcomes.list";
-}
-
 unsigned gcache::sweepStaleTmpFiles(const std::string &Dir) {
   Expected<std::vector<std::string>> Names = vfs().list(Dir);
   if (!Names)
@@ -60,47 +48,6 @@ unsigned gcache::sweepStaleTmpFiles(const std::string &Dir) {
       ++Removed;
   }
   return Removed;
-}
-
-bool gcache::isUnitDenied(const CheckpointContext &Ctx,
-                          const std::string &UnitName) {
-  if (!Ctx.enabled() || !vfs().exists(Ctx.denyListPath()))
-    return false;
-  Expected<std::string> Text = vfs().readFileText(Ctx.denyListPath());
-  if (!Text)
-    return false;
-  size_t Pos = 0;
-  while (Pos < Text->size()) {
-    size_t End = Text->find('\n', Pos);
-    std::string Line = Text->substr(
-        Pos, End == std::string::npos ? std::string::npos : End - Pos);
-    while (!Line.empty() && (Line.back() == '\n' || Line.back() == '\r'))
-      Line.pop_back();
-    if (Line == UnitName)
-      return true;
-    if (End == std::string::npos)
-      break;
-    Pos = End + 1;
-  }
-  return false;
-}
-
-void gcache::markUnitInProgress(const CheckpointContext &Ctx,
-                                const std::string &UnitName) {
-  if (!Ctx.enabled())
-    return;
-  std::string Line = UnitName + "\n";
-  if (Expected<std::unique_ptr<VfsFile>> F =
-          vfs().openWrite(Ctx.inProgressPath())) {
-    (void)(*F)->write(Line.data(), Line.size());
-    (void)(*F)->close(); // Best effort: a torn marker only costs a retry.
-  }
-}
-
-void gcache::clearUnitInProgress(const CheckpointContext &Ctx) {
-  if (!Ctx.enabled())
-    return;
-  (void)vfs().unlink(Ctx.inProgressPath());
 }
 
 //===----------------------------------------------------------------------===//

@@ -33,7 +33,9 @@
 #include "gcache/core/Experiment.h"
 #include "gcache/trace/Sinks.h"
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
 namespace gcache {
 
@@ -44,24 +46,25 @@ struct CheckpointContext {
   std::string Dir;        ///< Checkpoint directory; empty = disabled.
   uint64_t EveryRefs = 0; ///< Replay checkpoint period in records.
   bool Resume = false;    ///< Load unit snapshots instead of re-running.
-  bool Supervised = false; ///< Running as a supervised child (fast-abort
-                           ///< on unit failure so the supervisor retries).
+  /// Supervised child only (core/Supervisor.h): the pipe end that reports
+  /// unit starts and outcomes to the supervisor; -1 otherwise.
+  int ReportFd = -1;
+  /// Units the supervisor denied after they exhausted their retries. The
+  /// supervisor sets this before each fork; its children inherit it.
+  std::vector<std::string> DeniedUnits;
 
   bool enabled() const { return !Dir.empty(); }
+  /// Running as a supervised child: fast-abort on unit failure so the
+  /// supervisor retries.
+  bool supervised() const { return ReportFd >= 0; }
+  bool isDenied(const std::string &UnitName) const {
+    return std::find(DeniedUnits.begin(), DeniedUnits.end(), UnitName) !=
+           DeniedUnits.end();
+  }
 
   /// Snapshot path for the named bench unit (name is sanitized into a
   /// filename).
   std::string unitSnapshotPath(const std::string &UnitName) const;
-  /// Path of the in-progress marker naming the unit currently running
-  /// (crash attribution for the supervisor).
-  std::string inProgressPath() const;
-  /// Path of the deny list: units that exhausted their retries and must
-  /// degrade gracefully instead of re-crashing the child.
-  std::string denyListPath() const;
-  /// Path of the per-unit outcome ledger (one "name\toutcome\tcoverage"
-  /// line per finished unit; the last line per unit wins). The supervisor
-  /// folds it into manifest.json.
-  std::string outcomesPath() const;
 };
 
 CheckpointContext &checkpointContext();
@@ -75,8 +78,7 @@ unsigned sweepStaleTmpFiles(const std::string &Dir);
 /// How replayTraceCheckpointed checkpoints and resumes.
 struct ReplayCheckpointOptions {
   /// Base path of the checkpoint's A/B slot pair (`<path>.a`/`<path>.b`,
-  /// see support/Snapshot.h); empty = never cut. A legacy single file at
-  /// exactly this path still resumes.
+  /// see support/Snapshot.h); empty = never cut.
   std::string SnapshotPath;
   uint64_t EveryRefs = 0;   ///< Also checkpoint every N records (0 = only
                             ///< at GC boundaries).
@@ -132,15 +134,6 @@ replayTraceCheckpointed(const std::string &TracePath, CacheBank &Bank,
 /// instead; BenchUnitRunner enforces it).
 Status saveUnitSnapshot(const std::string &Path, ProgramRun &Run,
                         double Scale);
-
-/// Supervisor protocol (see core/Supervisor.h): whether the supervisor
-/// denied \p UnitName after it exhausted its retries.
-bool isUnitDenied(const CheckpointContext &Ctx, const std::string &UnitName);
-/// Writes/clears the in-progress marker the supervisor uses to attribute
-/// a crash to a unit. No-ops when checkpointing is disabled.
-void markUnitInProgress(const CheckpointContext &Ctx,
-                        const std::string &UnitName);
-void clearUnitInProgress(const CheckpointContext &Ctx);
 
 /// Loads a unit snapshot, validating that it belongs to \p UnitName at
 /// \p Scale (mismatches are Corrupt: the snapshot is someone else's). The

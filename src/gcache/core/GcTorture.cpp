@@ -104,10 +104,6 @@ GcTortureRun::GcTortureRun(const GcTortureConfig &Config)
     ++BoundariesSeen;
     if (!Cfg.SnapshotPath.empty())
       cutSnapshot();
-    if (Cfg.KillAtStep && BoundariesSeen == Cfg.KillAtStep)
-      throw StatusError(Status::failf(
-          StatusCode::Aborted, "gc-torture kill at step boundary %llu",
-          (unsigned long long)BoundariesSeen));
   });
 }
 

@@ -54,13 +54,10 @@ struct GcTortureConfig {
   uint64_t CrossCheckEvery = 0; ///< --crosscheck period (0 = off).
   bool Audit = false;           ///< Wire the conservation-law auditor.
   bool PhaseParanoid = false;   ///< Certify at every step boundary.
-  /// Cut a snapshot here at every GC step boundary ("" = never cut).
+  /// Cut a snapshot here at every GC step boundary ("" = never cut). A
+  /// kill at a boundary comes from the gc-step-abort (in-process throw)
+  /// or gc-step-kill (real SIGKILL) fault site, which fire after the cut.
   std::string SnapshotPath;
-  /// Simulate a kill: throw StatusError(Aborted) at this 1-based global
-  /// step-boundary count, right after that boundary's snapshot cut
-  /// (0 = never). Real SIGKILL coverage uses the gc-step-kill fault site
-  /// instead (bench/gc_torture.cpp forks per kill point).
-  uint64_t KillAtStep = 0;
 };
 
 /// Everything a finished run is judged by. Two runs of the same config —
@@ -89,8 +86,9 @@ public:
   ~GcTortureRun();
 
   /// Executes the remaining mutator ops. Throws StatusError(Aborted) when
-  /// KillAtStep fires (the snapshot for that boundary is already on
-  /// disk), and propagates certification / cross-check / audit failures.
+  /// an armed gc-step-abort fires (the snapshot for that boundary is
+  /// already on disk), and propagates certification / cross-check / audit
+  /// failures.
   void run();
 
   /// Restores the world from \p Path (cut by a previous run of the same

@@ -3,17 +3,14 @@
 #include "gcache/core/Supervisor.h"
 
 #include "gcache/core/Checkpoint.h"
-#include "gcache/support/Budget.h"
+#include "gcache/support/ChildProcess.h"
 #include "gcache/support/FaultInjector.h"
 #include "gcache/support/Vfs.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <string>
 #include <sys/wait.h>
@@ -32,26 +29,6 @@ struct LaunchEvent {
   std::string Unit;  ///< Attributed unit, or empty.
 };
 
-std::string readFirstLine(const std::string &Path) {
-  Expected<std::string> Text = vfs().readFileText(Path);
-  if (!Text)
-    return std::string();
-  std::string Line = *Text;
-  size_t Eol = Line.find_first_of("\r\n");
-  if (Eol != std::string::npos)
-    Line.resize(Eol);
-  return Line;
-}
-
-void appendLine(const std::string &Path, const std::string &Line) {
-  Expected<std::unique_ptr<VfsFile>> F = vfs().openAppend(Path);
-  if (!F)
-    return;
-  std::string Out = Line + "\n";
-  (void)(*F)->write(Out.data(), Out.size());
-  (void)(*F)->close();
-}
-
 std::string jsonEscape(const std::string &S) {
   std::string Out;
   for (char C : S) {
@@ -64,7 +41,7 @@ std::string jsonEscape(const std::string &S) {
   return Out;
 }
 
-/// One parsed line of the per-unit outcome ledger.
+/// One unit's reported outcome.
 struct UnitRecord {
   std::string Name;
   std::string Outcome;
@@ -72,60 +49,45 @@ struct UnitRecord {
   std::string Note;
 };
 
-/// Reads the outcome ledger (name \t outcome \t coverage \t note per
-/// line); the last line per unit wins, first-seen order is kept.
-std::vector<UnitRecord> readOutcomeLedger(const std::string &Path) {
-  std::vector<UnitRecord> Units;
-  Expected<std::string> Text = vfs().readFileText(Path);
-  if (!Text)
-    return Units;
-  size_t Pos = 0;
-  while (Pos < Text->size()) {
-    size_t Eol = Text->find('\n', Pos);
-    if (Eol == std::string::npos)
-      Eol = Text->size();
-    std::string Line = Text->substr(Pos, Eol - Pos);
-    Pos = Eol + 1;
-    while (!Line.empty() && (Line.back() == '\n' || Line.back() == '\r'))
-      Line.pop_back();
-    UnitRecord Rec;
-    std::string *Fields[4] = {&Rec.Name, &Rec.Outcome, &Rec.Coverage,
-                              &Rec.Note};
-    size_t FieldIdx = 0;
-    for (char C : Line) {
-      if (C == '\t' && FieldIdx + 1 < 4)
-        ++FieldIdx;
-      else
-        *Fields[FieldIdx] += C;
-    }
-    if (Rec.Name.empty() || Rec.Outcome.empty())
-      continue;
-    auto It = std::find_if(Units.begin(), Units.end(), [&](const UnitRecord &U) {
-      return U.Name == Rec.Name;
-    });
-    if (It != Units.end())
-      *It = Rec;
+/// Folds one `outcome` report (name \t outcome \t coverage \t note) into
+/// \p Units: the last report per unit wins, first-seen order is kept.
+void recordOutcome(std::vector<UnitRecord> &Units, const std::string &Line) {
+  UnitRecord Rec;
+  std::string *Fields[4] = {&Rec.Name, &Rec.Outcome, &Rec.Coverage,
+                            &Rec.Note};
+  size_t FieldIdx = 0;
+  for (char C : Line) {
+    if (C == '\t' && FieldIdx + 1 < 4)
+      ++FieldIdx;
     else
-      Units.push_back(Rec);
+      *Fields[FieldIdx] += C;
   }
-  return Units;
+  if (Rec.Name.empty() || Rec.Outcome.empty())
+    return;
+  auto It = std::find_if(Units.begin(), Units.end(), [&](const UnitRecord &U) {
+    return U.Name == Rec.Name;
+  });
+  if (It != Units.end())
+    *It = Rec;
+  else
+    Units.push_back(Rec);
 }
 
 /// The machine-readable run manifest: what the supervisor observed and how
 /// the run ended.
 void writeManifest(const std::string &Dir, int ExitCode, unsigned Launches,
-                   const char *Result, const std::vector<LaunchEvent> &Events,
+                   const char *Result, const std::vector<UnitRecord> &Units,
+                   const std::vector<LaunchEvent> &Events,
                    const std::vector<std::string> &Denied) {
   std::string J = "{\n";
   J += "  \"result\": \"" + std::string(Result) + "\",\n";
   J += "  \"exit_code\": " + std::to_string(ExitCode) + ",\n";
   J += "  \"launches\": " + std::to_string(Launches) + ",\n";
-  std::vector<UnitRecord> Units = readOutcomeLedger(Dir + "/outcomes.list");
   J += "  \"units\": [\n";
   for (size_t I = 0; I != Units.size(); ++I) {
     const UnitRecord &U = Units[I];
     // Coverage must stay a bare JSON number; re-format through strtod so
-    // a damaged ledger line cannot produce invalid JSON.
+    // a damaged report line cannot produce invalid JSON.
     char CovBuf[32];
     char *End = nullptr;
     double Cov = std::strtod(U.Coverage.c_str(), &End);
@@ -165,108 +127,72 @@ void writeManifest(const std::string &Dir, int ExitCode, unsigned Launches,
                  S.message().c_str());
 }
 
-/// Waits for \p Pid, enforcing the timeout gracefully: SIGTERM first (the
-/// child's signal guard drains in-flight work to a checkpoint and exits on
-/// its own), SIGKILL only after \p GraceSec more seconds. An operator
-/// cancellation of the supervisor itself (its own cancel token tripping,
-/// e.g. via SIGTERM to the parent) is forwarded to the child the same way.
-/// Returns the raw wait status; \p TimedOut reports a tripped timeout and
-/// \p Drained whether the child exited on its own after the SIGTERM.
-int awaitChild(pid_t Pid, unsigned TimeoutSec, unsigned GraceSec,
-               bool &TimedOut, bool &Drained) {
-  TimedOut = false;
-  Drained = false;
-  using Clock = std::chrono::steady_clock;
-  auto Deadline = TimeoutSec ? Clock::now() + std::chrono::seconds(TimeoutSec)
-                             : Clock::time_point::max();
-  auto KillAt = Clock::time_point::max();
-  bool TermSent = false;
-  int RawStatus = 0;
-  for (;;) {
-    pid_t Done = waitpid(Pid, &RawStatus, WNOHANG);
-    if (Done == Pid) {
-      Drained = TermSent;
-      return RawStatus;
-    }
-    auto Now = Clock::now();
-    if (!TermSent && (Now >= Deadline || cancelToken().requested())) {
-      TimedOut = Now >= Deadline;
-      kill(Pid, SIGTERM);
-      TermSent = true;
-      KillAt = Now + std::chrono::seconds(GraceSec);
-    }
-    if (Now >= KillAt) {
-      kill(Pid, SIGKILL);
-      while (waitpid(Pid, &RawStatus, 0) < 0 && errno == EINTR)
-        ;
-      return RawStatus; // Drained stays false: the child ignored SIGTERM.
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  }
-}
-
 } // namespace
 
 SuperviseOutcome gcache::superviseLoop(const SupervisorOptions &Opts) {
-  CheckpointContext Ctx;
-  Ctx.Dir = Opts.CheckpointDir;
-  (void)vfs().mkdir(Ctx.Dir); // may already exist
-
-  // A new supervised run starts with a clean slate of attribution state;
-  // unit snapshots are deliberately kept — they are the resume value.
+  const std::string &Dir = Opts.CheckpointDir;
+  (void)vfs().mkdir(Dir); // may already exist
+  // Unit snapshots are deliberately kept — they are the resume value.
   // Half-written *.tmp snapshots from a previous kill are swept: the
   // atomic rename protocol means they are never authoritative.
-  (void)vfs().unlink(Ctx.inProgressPath());
-  (void)vfs().unlink(Ctx.denyListPath());
-  (void)vfs().unlink(Ctx.outcomesPath());
-  sweepStaleTmpFiles(Ctx.Dir);
+  sweepStaleTmpFiles(Dir);
 
+  // Denials live in the process-global context, so every child forked
+  // from here on inherits the current list; a new run starts with none.
+  std::vector<std::string> &Denied = checkpointContext().DeniedUnits;
+  Denied.clear();
   std::map<std::string, unsigned> Attempts;
+  std::vector<UnitRecord> Units;
   std::vector<LaunchEvent> Events;
-  std::vector<std::string> Denied;
   unsigned Launches = 0;
   unsigned MaxLaunches =
       Opts.MaxLaunches ? Opts.MaxLaunches : (Opts.MaxRetries + 2) * 8;
   unsigned BackoffMs = Opts.BackoffMs;
+  auto Finish = [&](int Code, const char *Result) -> SuperviseOutcome {
+    writeManifest(Dir, Code, Launches, Result, Units, Events, Denied);
+    return {false, Code};
+  };
 
   for (;;) {
     ++Launches;
-    std::fflush(nullptr); // don't duplicate buffered output into the child
-    pid_t Pid = fork();
-    if (Pid < 0) {
-      writeManifest(Ctx.Dir, 70, Launches, "fork-failed", Events, Denied);
-      return {false, 70};
-    }
-    if (Pid == 0)
+    ChildProcess Child;
+    if (!Child.spawn().ok())
+      return Finish(70, "fork-failed");
+    if (Child.inChild()) {
+      checkpointContext().ReportFd = Child.fromChildFd();
       return {true, 0};
+    }
 
+    std::string Unit; // The unit this launch is running, from its reports.
+    auto OnLine = [&](const std::string &Line) {
+      if (Line.rfind("unit ", 0) == 0) {
+        Unit = Line.substr(5);
+      } else if (Line.rfind("outcome ", 0) == 0) {
+        recordOutcome(Units, Line.substr(8));
+        Unit.clear();
+      }
+    };
     bool TimedOut = false;
     bool Drained = false;
     int RawStatus =
-        awaitChild(Pid, Opts.TimeoutSec, Opts.GraceSec, TimedOut, Drained);
+        Child.await(Opts.TimeoutSec, Opts.GraceSec, OnLine, TimedOut, Drained);
 
     if (WIFEXITED(RawStatus) && (!TimedOut || Drained)) {
       int Code = WEXITSTATUS(RawStatus);
       if (Code == 0 || Code == 1 || Code == 3) {
         // A child that drained on the timeout's SIGTERM ended the sweep
-        // itself: its partial units are recorded as partial-deadline in
-        // the ledger, not charged as a crash.
+        // itself: its partial units are reported as partial-deadline,
+        // not charged as a crash.
         if (TimedOut)
-          Events.push_back(
-              {Launches, "timeout (drained)", readFirstLine(Ctx.inProgressPath())});
-        writeManifest(Ctx.Dir, Code, Launches,
-                      Code == 3 ? "partial" : "completed", Events, Denied);
-        return {false, Code};
+          Events.push_back({Launches, "timeout (drained)", Unit});
+        return Finish(Code, Code == 3 ? "partial" : "completed");
       }
-      if (Code == 2) {
-        // Bad flags are deterministic; retrying cannot help.
-        writeManifest(Ctx.Dir, 2, Launches, "bad-flags", Events, Denied);
-        return {false, 2};
-      }
+      if (Code == 2) // Bad flags are deterministic; retrying cannot help.
+        return Finish(2, "bad-flags");
     }
 
     // Abnormal end: fast-abort, crash signal, timeout, or an unexpected
-    // exit code. Attribute it to the unit named by the marker file.
+    // exit code. Charge it to the unit the child last reported starting.
     std::string Cause;
     if (TimedOut)
       Cause = "timeout";
@@ -274,8 +200,6 @@ SuperviseOutcome gcache::superviseLoop(const SupervisorOptions &Opts) {
       Cause = "signal " + std::to_string(WTERMSIG(RawStatus));
     else
       Cause = "exit " + std::to_string(WEXITSTATUS(RawStatus));
-    std::string Unit = readFirstLine(Ctx.inProgressPath());
-    (void)vfs().unlink(Ctx.inProgressPath());
     Events.push_back({Launches, Cause, Unit});
 
     unsigned &UnitAttempts = Attempts[Unit.empty() ? "<unknown>" : Unit];
@@ -284,13 +208,10 @@ SuperviseOutcome gcache::superviseLoop(const SupervisorOptions &Opts) {
         std::find(Denied.begin(), Denied.end(), Unit) == Denied.end()) {
       // Out of retries: the next child marks this unit failed and moves
       // on instead of crashing on it again.
-      appendLine(Ctx.denyListPath(), Unit);
       Denied.push_back(Unit);
     }
-    if (Launches >= MaxLaunches) {
-      writeManifest(Ctx.Dir, 70, Launches, "crash-loop", Events, Denied);
-      return {false, 70};
-    }
+    if (Launches >= MaxLaunches)
+      return Finish(70, "crash-loop");
 
     // Children are forked from this image: a one-shot injected fault that
     // already fired must not re-arm in every retry, and neither should the
@@ -309,4 +230,26 @@ int gcache::runSupervised(const SupervisorOptions &Opts,
   if (Outcome.InChild)
     _exit(Body());
   return Outcome.ExitCode;
+}
+
+void gcache::reportUnitStart(const std::string &Unit) {
+  int Fd = checkpointContext().ReportFd;
+  if (Fd >= 0)
+    (void)writeAllFd(Fd, "unit " + Unit + "\n");
+}
+
+void gcache::reportUnitOutcome(const std::string &Unit, const char *Outcome,
+                               double Coverage, const std::string &Note) {
+  int Fd = checkpointContext().ReportFd;
+  if (Fd < 0)
+    return;
+  // Tabs and newlines delimit the report; scrub them out of the free text.
+  std::string CleanNote = Note;
+  for (char &C : CleanNote)
+    if (C == '\t' || C == '\n')
+      C = ' ';
+  char Cov[32];
+  std::snprintf(Cov, sizeof(Cov), "%.6g", Coverage);
+  (void)writeAllFd(Fd, "outcome " + Unit + "\t" + Outcome + "\t" + Cov +
+                           "\t" + CleanNote + "\n");
 }

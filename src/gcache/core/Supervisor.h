@@ -16,12 +16,14 @@
 /// the sweep (graceful degrade), and the whole run exits nonzero with a
 /// machine-readable manifest of what happened.
 ///
-/// Crash attribution uses an in-progress marker file: the child writes the
-/// current unit's name before running it and clears it after, so the
-/// parent knows which unit to charge for an abnormal exit.
-///
-/// The protocol between parent and child is exit-status only (no pipes),
-/// so the child's stdout stays a normal bench report:
+/// The child (a support/ChildProcess) reports over its pipe, so stdout
+/// stays a normal bench report and the checkpoint directory holds only
+/// unit snapshots and the manifest:
+///   unit <name>                                  before running a unit
+///   outcome <name>\t<outcome>\t<coverage>\t<note> after it
+/// A crash between the two is charged to the unit. Denials reach each new
+/// child through the fork: the parent sets checkpointContext().DeniedUnits
+/// first. The child's exit status says how the sweep ended:
 ///   0   sweep complete, all units passed
 ///   1   sweep complete, some units failed (recorded in the manifest)
 ///   2   bad flags (never retried)
@@ -53,7 +55,7 @@ constexpr int SupervisedAbortExit = 75;
 
 /// Supervision policy.
 struct SupervisorOptions {
-  std::string CheckpointDir; ///< Snapshot/marker/manifest directory.
+  std::string CheckpointDir; ///< Snapshot/manifest directory.
   unsigned MaxRetries = 2;   ///< Retries per failing unit before denial.
   unsigned TimeoutSec = 0;   ///< Stop a child running longer (0 = never).
   /// Seconds between the timeout's SIGTERM (drain request) and the
@@ -82,6 +84,14 @@ SuperviseOutcome superviseLoop(const SupervisorOptions &Opts);
 /// the parent's final exit code.
 int runSupervised(const SupervisorOptions &Opts,
                   const std::function<int()> &Body);
+
+/// Child side of the protocol; both are no-ops outside a supervised child.
+/// reportUnitStart charges any crash from here on to \p Unit;
+/// reportUnitOutcome records how it ended (an outcome name, coverage in
+/// [0, 1] or -1 when unknown, free-text note) and ends the charge.
+void reportUnitStart(const std::string &Unit);
+void reportUnitOutcome(const std::string &Unit, const char *Outcome,
+                       double Coverage, const std::string &Note);
 
 } // namespace gcache
 

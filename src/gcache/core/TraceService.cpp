@@ -213,6 +213,7 @@ struct TraceService::Impl {
   bool StdinSessionDone = false;
   std::string Manifest = "{}";
   bool ManifestDirty = true;
+  bool AuditFailed = false; ///< auditPartials() found a broken entry.
 
   // Manifest counters.
   uint64_t Accepted = 0, DeniedClients = 0, DeniedMem = 0;
@@ -1170,8 +1171,11 @@ struct TraceService::Impl {
                  nullptr, 0);
       }
     } else if (Partial) {
+      // A job cancelled in the queue or in a retry backoff never cut a
+      // checkpoint: its resume starts from record 0 (empty checkpoint).
       Partials.push_back({J->Client, J->ConfigSpec, J->SpoolPath,
-                          J->CheckpointPath, E.Result.Records});
+                          J->HasCkpt ? J->CheckpointPath : "",
+                          E.Result.Records});
       // No Remove: the replicated spool + checkpoint stay useful — a
       // promoting standby finishes what this partial left behind.
     } else {
@@ -1583,6 +1587,7 @@ struct TraceService::Impl {
       Info.Estimate = 0;
       Info.DeclRecords = R.DeclRecords;
       Info.DeclCrc = R.DeclCrc;
+      Info.HasCkpt = R.HasCkpt;
       Info.JobId = Pool.submit(std::move(Job));
       Jobs.push_back(std::move(Info));
     }
@@ -1704,6 +1709,29 @@ struct TraceService::Impl {
     if (!Opts.Dir.empty())
       (void)writeTextAtomic(manifestPath(), Manifest + "\n");
     ManifestDirty = false;
+    if (Opts.Audit)
+      auditPartials();
+  }
+
+  /// --audit invariant: every partials[] entry names an existing spool
+  /// and, unless it names none, an existing checkpoint — the manifest must
+  /// never advertise a resume it cannot deliver. A violation fails the
+  /// daemon.
+  void auditPartials() {
+    for (const Partial &P : Partials) {
+      std::string Missing =
+          !vfs().exists(P.SpoolPath) ? P.SpoolPath
+          : !P.CheckpointPath.empty() && !vfs().exists(P.CheckpointPath)
+              ? P.CheckpointPath
+              : "";
+      if (Missing.empty() || AuditFailed)
+        continue;
+      std::fprintf(stderr,
+                   "gcache_serve: audit: partials[] entry for client '%s' "
+                   "names '%s', which does not exist\n",
+                   P.Client.c_str(), Missing.c_str());
+      AuditFailed = true;
+    }
   }
 
   //===--------------------------------------------------------------------===//
@@ -1977,6 +2005,9 @@ TraceService::TraceService(ServeOptions Opts)
 
 TraceService::~TraceService() = default;
 
-int TraceService::run() { return P->run(); }
+int TraceService::run() {
+  int Code = P->run();
+  return P->AuditFailed ? ServeExitFailure : Code;
+}
 
 std::string TraceService::manifestJson() const { return P->Manifest; }

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// The gcache_serve daemon core: a single-threaded poll(2) event loop
-/// accepting CRC-framed v2 reference traces (support/Wire.h) over a
+/// accepting CRC-framed v3 reference traces (support/Wire.h) over a
 /// Unix-domain socket — or one session over the stdin/stdout pipe pair —
 /// and multiplexing the client simulations across a bounded pool of
 /// crash-contained forked workers (core/WorkerPool.h).
@@ -33,7 +33,9 @@
 ///    checkpoint, then denied — the daemon itself never dies with a job.
 ///  - *Graceful drain*: SIGTERM stops accepting, drains in-flight jobs to
 ///    resumable partial checkpoints (spool + snapshot stay in --dir,
-///    listed in the manifest), and exits 3.
+///    listed in the manifest), and exits 3. A job still queued, or
+///    waiting out a retry backoff, is listed with its spool and no
+///    checkpoint: its resume starts from record 0.
 ///  - *Dedup*: streams sharing a validated (config, byte-prefix, CRC) key
 ///    seed late joiners from an earlier job's checkpoint snapshot instead
 ///    of re-simulating the shared prefix; hits are counted in the
@@ -98,7 +100,9 @@ struct ServeOptions {
   // Validation modes applied to every job (the failover bit-identity
   // proofs run the whole service under --crosscheck --audit [--threads]).
   uint64_t CrosscheckEvery = 0; ///< Shadow-oracle period (0 = off).
-  bool Audit = false;           ///< Conservation audits at checkpoints/end.
+  /// Conservation audits at checkpoints/end, and at every manifest write
+  /// a check that each partials[] spool/checkpoint exists (exit 1 if not).
+  bool Audit = false;
   unsigned Threads = 0;         ///< Bank shard threads per worker (0 = serial).
 
   // High availability (see the file comment).

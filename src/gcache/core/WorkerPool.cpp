@@ -13,14 +13,10 @@
 #include "gcache/trace/TraceFile.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstring>
-#include <fcntl.h>
 #include <poll.h>
-#include <sys/wait.h>
 #include <unistd.h>
 #ifdef __linux__
 #include <sys/prctl.h>
@@ -34,22 +30,6 @@ int64_t nowMs() {
   using namespace std::chrono;
   return duration_cast<milliseconds>(steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// Blocking write of the whole buffer to a pipe fd.
-bool writeAllFd(int Fd, const std::string &Text) {
-  size_t Sent = 0;
-  while (Sent < Text.size()) {
-    ssize_t N = write(Fd, Text.data() + Sent, Text.size() - Sent);
-    if (N > 0) {
-      Sent += static_cast<size_t>(N);
-      continue;
-    }
-    if (N < 0 && errno == EINTR)
-      continue;
-    return false;
-  }
-  return true;
 }
 
 /// References per serial batch in the worker's bank — small enough that a
@@ -149,8 +129,6 @@ std::string buildReplyJson(const ServeJob &Job, const ServeResult &R,
   return J;
 }
 
-bool fileExists(const std::string &Path) { return vfs().exists(Path); }
-
 } // namespace
 
 Expected<ServeResult> gcache::runServeJob(const ServeJob &Job,
@@ -181,9 +159,10 @@ Expected<ServeResult> gcache::runServeJob(const ServeJob &Job,
   // CRC-validated by the snapshot layer and spec-validated here.
   std::string LoadFrom;
   if (Job.Resume && !Job.CheckpointPath.empty() &&
-      fileExists(Job.CheckpointPath))
+      vfs().exists(Job.CheckpointPath))
     LoadFrom = Job.CheckpointPath;
-  else if (!Job.SeedSnapshotPath.empty() && fileExists(Job.SeedSnapshotPath))
+  else if (!Job.SeedSnapshotPath.empty() &&
+           vfs().exists(Job.SeedSnapshotPath))
     LoadFrom = Job.SeedSnapshotPath;
   if (!LoadFrom.empty()) {
     SnapshotReader R;
@@ -345,24 +324,6 @@ Expected<ServeResult> gcache::runServeJob(const ServeJob &Job,
 
 namespace {
 
-/// Reads one '\n'-terminated line from a blocking fd; false on EOF/error.
-bool readLineFd(int Fd, std::string &Line) {
-  Line.clear();
-  char C;
-  for (;;) {
-    ssize_t N = read(Fd, &C, 1);
-    if (N == 1) {
-      if (C == '\n')
-        return true;
-      Line += C;
-      continue;
-    }
-    if (N < 0 && errno == EINTR)
-      continue;
-    return false;
-  }
-}
-
 std::string serializeJob(const ServeJob &J, unsigned Attempt) {
   std::string S;
   S += "client=" + J.Client + "\n";
@@ -399,7 +360,9 @@ bool gcache::readServeCheckpointCoords(const std::string &Path,
   return C.finish().ok();
 }
 
-void gcache::serveWorkerMain(int JobFd, int ResultFd) {
+/// Worker child entry: serves job specs from \p JobFd, writes protocol
+/// lines to \p ResultFd, loops until JobFd closes.
+[[noreturn]] static void serveWorkerMain(int JobFd, int ResultFd) {
 #ifdef __linux__
   // Die with the daemon: a killed parent must not leave orphan workers.
   prctl(PR_SET_PDEATHSIG, SIGKILL);
@@ -410,47 +373,31 @@ void gcache::serveWorkerMain(int JobFd, int ResultFd) {
 
   std::string Line;
   for (;;) {
-    ServeJob Job;
+    std::string Spec;
     bool Run = false;
-    while (readLineFd(JobFd, Line)) {
-      if (Line == "run") {
-        Run = true;
-        break;
-      }
-      size_t Eq = Line.find('=');
-      if (Eq == std::string::npos)
-        continue;
-      std::string Key = Line.substr(0, Eq), Value = Line.substr(Eq + 1);
-      if (Key == "client")
-        Job.Client = Value;
-      else if (Key == "config")
-        Job.ConfigSpec = Value;
-      else if (Key == "spool")
-        Job.SpoolPath = Value;
-      else if (Key == "ckpt")
-        Job.CheckpointPath = Value;
-      else if (Key == "records")
-        Job.DeclaredRecords = std::strtoull(Value.c_str(), nullptr, 10);
-      else if (Key == "crc")
-        Job.DeclaredCrc =
-            static_cast<uint32_t>(std::strtoull(Value.c_str(), nullptr, 10));
-      else if (Key == "ckptevery")
-        Job.CheckpointEveryRecords =
-            std::strtoull(Value.c_str(), nullptr, 10);
-      else if (Key == "seed")
-        Job.SeedSnapshotPath = Value;
-      else if (Key == "resume")
-        Job.Resume = Value == "1";
-      else if (Key == "xchk")
-        Job.CrosscheckEvery = std::strtoull(Value.c_str(), nullptr, 10);
-      else if (Key == "audit")
-        Job.Audit = Value == "1";
-      else if (Key == "threads")
-        Job.Threads =
-            static_cast<unsigned>(std::strtoul(Value.c_str(), nullptr, 10));
+    while (!Run && readLineFd(JobFd, Line)) {
+      Run = Line == "run";
+      Spec += Line + "\n";
     }
     if (!Run)
       _exit(0); // Parent closed the job pipe: clean shutdown.
+    auto Kv = parseKvLines(Spec);
+    auto Num = [&](const char *Key) {
+      return std::strtoull(kvGet(Kv, Key, "0").c_str(), nullptr, 10);
+    };
+    ServeJob Job;
+    Job.Client = kvGet(Kv, "client");
+    Job.ConfigSpec = kvGet(Kv, "config");
+    Job.SpoolPath = kvGet(Kv, "spool");
+    Job.CheckpointPath = kvGet(Kv, "ckpt");
+    Job.DeclaredRecords = Num("records");
+    Job.DeclaredCrc = static_cast<uint32_t>(Num("crc"));
+    Job.CheckpointEveryRecords = Num("ckptevery");
+    Job.SeedSnapshotPath = kvGet(Kv, "seed");
+    Job.Resume = kvGet(Kv, "resume") == "1";
+    Job.CrosscheckEvery = Num("xchk");
+    Job.Audit = kvGet(Kv, "audit") == "1";
+    Job.Threads = static_cast<unsigned>(Num("threads"));
 
     // A fresh job must not inherit the previous job's drain request.
     cancelToken().reset();
@@ -493,44 +440,17 @@ void gcache::serveWorkerMain(int JobFd, int ResultFd) {
 WorkerPool::~WorkerPool() { stop(); }
 
 Status WorkerPool::spawn(Member &M) {
-  int JobPipe[2], ResultPipe[2];
-  if (pipe(JobPipe) != 0)
-    return Status::failf(StatusCode::IoError, "pipe: %s",
-                         std::strerror(errno));
-  if (pipe(ResultPipe) != 0) {
-    close(JobPipe[0]);
-    close(JobPipe[1]);
-    return Status::failf(StatusCode::IoError, "pipe: %s",
-                         std::strerror(errno));
-  }
-  pid_t Pid = fork();
-  if (Pid < 0) {
-    for (int Fd : {JobPipe[0], JobPipe[1], ResultPipe[0], ResultPipe[1]})
-      close(Fd);
-    return Status::failf(StatusCode::IoError, "fork: %s",
-                         std::strerror(errno));
-  }
-  if (Pid == 0) {
-    close(JobPipe[1]);
-    close(ResultPipe[0]);
-    serveWorkerMain(JobPipe[0], ResultPipe[1]);
-  }
-  close(JobPipe[0]);
-  close(ResultPipe[1]);
-  M.Pid = Pid;
-  M.JobFd = JobPipe[1];
-  M.ResultFd = ResultPipe[0];
-  M.LineBuf.clear();
   M.JobId = 0;
-  // Parent reads results nonblocking inside the poll loop.
-  int Flags = fcntl(M.ResultFd, F_GETFL, 0);
-  fcntl(M.ResultFd, F_SETFL, Flags | O_NONBLOCK);
+  if (Status S = M.Proc.spawn(); !S.ok())
+    return S;
+  if (M.Proc.inChild())
+    serveWorkerMain(M.Proc.toChildFd(), M.Proc.fromChildFd());
   return Status();
 }
 
 Status WorkerPool::start(const WorkerPoolOptions &O) {
   Opts = O;
-  Members.resize(std::max(1u, Opts.Workers));
+  Members = std::vector<Member>(std::max(1u, Opts.Workers));
   for (Member &M : Members)
     if (Status S = spawn(M); !S.ok()) {
       stop();
@@ -549,8 +469,8 @@ uint64_t WorkerPool::submit(ServeJob Job) {
 
 void WorkerPool::appendPollFds(std::vector<pollfd> &Fds) const {
   for (const Member &M : Members)
-    if (M.ResultFd >= 0)
-      Fds.push_back({M.ResultFd, POLLIN, 0});
+    if (M.Proc.fromChildFd() >= 0)
+      Fds.push_back({M.Proc.fromChildFd(), POLLIN, 0});
 }
 
 size_t WorkerPool::runningJobs() const { return Running.size(); }
@@ -560,7 +480,7 @@ bool WorkerPool::idle() const { return Queue.empty() && Running.empty(); }
 unsigned WorkerPool::workersAlive() const {
   unsigned N = 0;
   for (const Member &M : Members)
-    N += M.Pid > 0;
+    N += M.Proc.running();
   return N;
 }
 
@@ -568,7 +488,8 @@ std::vector<WorkerPool::WorkerStat> WorkerPool::workerStats() const {
   std::vector<WorkerStat> Stats;
   Stats.reserve(Members.size());
   for (const Member &M : Members)
-    Stats.push_back({M.Pid, M.SlotDeaths, M.SlotRetries, M.SlotCompleted});
+    Stats.push_back(
+        {M.Proc.pid(), M.SlotDeaths, M.SlotRetries, M.SlotCompleted});
   return Stats;
 }
 
@@ -589,7 +510,7 @@ void WorkerPool::dispatch(Member &M, PendingJob Take) {
   M.JobId = Take.Id;
   std::string Spec = serializeJob(Take.Job, Take.Attempt);
   Running.push_back(std::move(Take));
-  if (!writeAllFd(M.JobFd, Spec)) {
+  if (!writeAllFd(M.Proc.toChildFd(), Spec)) {
     // The worker died between spawn and dispatch; the next pump() reaps it
     // and the normal death path retries the job.
   }
@@ -613,8 +534,8 @@ void WorkerPool::handleLine(Member &M, const std::string &Line,
     Events.push_back(E);
     // worker-kill fault site: SIGKILL the worker right after it reported
     // this checkpoint, so the retry provably resumes from it.
-    if (faultInjector().shouldFire(FaultSite::WorkerKill) && M.Pid > 0)
-      kill(M.Pid, SIGKILL);
+    if (faultInjector().shouldFire(FaultSite::WorkerKill))
+      M.Proc.signal(SIGKILL);
     return;
   }
 
@@ -655,15 +576,7 @@ void WorkerPool::handleLine(Member &M, const std::string &Line,
 void WorkerPool::onWorkerDown(Member &M, std::vector<Event> &Events) {
   ++Deaths;
   ++M.SlotDeaths;
-  if (M.JobFd >= 0)
-    close(M.JobFd);
-  if (M.ResultFd >= 0)
-    close(M.ResultFd);
-  M.JobFd = M.ResultFd = -1;
-  int Pid = M.Pid;
-  M.Pid = -1;
-  if (Pid > 0)
-    waitpid(Pid, nullptr, 0);
+  M.Proc.wait();
 
   if (M.JobId) {
     auto It =
@@ -706,56 +619,16 @@ void WorkerPool::onWorkerDown(Member &M, std::vector<Event> &Events) {
 }
 
 void WorkerPool::pump(std::vector<Event> &Events) {
-  // Drain result pipes first so lines written before a death are not lost.
+  // A worker is down when its pipe hits EOF or it is reaped; either way
+  // the lines it wrote before dying are handled first, so none is lost.
   for (Member &M : Members) {
-    if (M.ResultFd < 0)
+    if (!M.Proc.running())
       continue;
-    char Buf[4096];
-    bool Eof = false;
-    for (;;) {
-      ssize_t N = read(M.ResultFd, Buf, sizeof(Buf));
-      if (N > 0) {
-        M.LineBuf.append(Buf, static_cast<size_t>(N));
-        continue;
-      }
-      if (N < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
-        break;
-      if (N < 0 && errno == EINTR)
-        continue;
-      Eof = true; // 0 or a hard error: the worker side is gone.
-      break;
-    }
-    size_t Pos = 0, Nl;
-    while ((Nl = M.LineBuf.find('\n', Pos)) != std::string::npos) {
-      handleLine(M, M.LineBuf.substr(Pos, Nl - Pos), Events);
-      Pos = Nl + 1;
-    }
-    M.LineBuf.erase(0, Pos);
-    if (Eof)
+    auto OnLine = [&](const std::string &Line) {
+      handleLine(M, Line, Events);
+    };
+    if (!M.Proc.readLines(OnLine) || M.Proc.tryReap(OnLine))
       onWorkerDown(M, Events);
-  }
-
-  // Reap any worker that died before its pipe EOF was observed: salvage
-  // the final lines still in the pipe, then run the normal death path.
-  for (Member &M : Members) {
-    if (M.Pid <= 0)
-      continue;
-    if (waitpid(M.Pid, nullptr, WNOHANG) != M.Pid)
-      continue;
-    if (M.ResultFd >= 0) {
-      char Buf[4096];
-      ssize_t N;
-      while ((N = read(M.ResultFd, Buf, sizeof(Buf))) > 0)
-        M.LineBuf.append(Buf, static_cast<size_t>(N));
-      size_t Pos = 0, Nl;
-      while ((Nl = M.LineBuf.find('\n', Pos)) != std::string::npos) {
-        handleLine(M, M.LineBuf.substr(Pos, Nl - Pos), Events);
-        Pos = Nl + 1;
-      }
-      M.LineBuf.clear();
-    }
-    M.Pid = -1; // Already reaped; onWorkerDown skips its waitpid.
-    onWorkerDown(M, Events);
   }
 
   if (Draining) {
@@ -777,7 +650,7 @@ void WorkerPool::pump(std::vector<Event> &Events) {
   for (Member &M : Members) {
     if (Queue.empty())
       break;
-    if (M.Pid <= 0 || M.JobId)
+    if (!M.Proc.running() || M.JobId)
       continue;
     auto It = std::find_if(Queue.begin(), Queue.end(), [&](const PendingJob &P) {
       return P.ReadyAtMs <= Now;
@@ -793,22 +666,12 @@ void WorkerPool::pump(std::vector<Event> &Events) {
 void WorkerPool::drain() {
   Draining = true;
   for (Member &M : Members)
-    if (M.Pid > 0 && M.JobId)
-      kill(M.Pid, SIGTERM);
+    if (M.JobId)
+      M.Proc.signal(SIGTERM);
 }
 
 void WorkerPool::stop() {
-  for (Member &M : Members) {
-    if (M.JobFd >= 0)
-      close(M.JobFd);
-    if (M.ResultFd >= 0)
-      close(M.ResultFd);
-    if (M.Pid > 0) {
-      kill(M.Pid, SIGKILL);
-      waitpid(M.Pid, nullptr, 0);
-    }
-  }
-  Members.clear();
+  Members.clear(); // ~ChildProcess kills and reaps each worker.
   Queue.clear();
   Running.clear();
 }

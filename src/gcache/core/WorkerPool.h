@@ -5,17 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The trace service's worker pool: the supervised-runner fork pattern
-/// (core/Supervisor.h) generalized from "one child per sweep" to a pool of
-/// persistent forked workers, each simulating client jobs in its own
+/// The trace service's worker pool: persistent forked workers, each a
+/// support/ChildProcess (the fork-and-report primitive the supervised
+/// runner, core/Supervisor.h, also uses) simulating client jobs in its own
 /// address space. A worker that crashes — SIGKILL, SIGSEGV, the injected
 /// `worker-kill` fault — takes down only its in-flight job: the pool reaps
 /// it, respawns a replacement, and retries the job with exponential
 /// backoff from its last checkpoint. A job that exhausts its retries is
 /// *denied* with a structured WorkerFailure; the daemon never dies with
-/// it.
+/// it. (The supervisor's policy differs on purpose: it restarts a whole
+/// sweep and denies the unit a crash is charged to.)
 ///
-/// Parent <-> worker protocol (two pipes per worker, line-oriented):
+/// Parent <-> worker protocol (the ChildProcess pipes, line-oriented):
 ///   parent -> worker   `key=value` job-spec lines, then `run`
 ///   worker -> parent   `ckpt <records> <bytes> <crc>`  progress, one per
 ///                      checkpoint cut (the resume/dedup coordinates)
@@ -39,6 +40,7 @@
 #define GCACHE_CORE_WORKERPOOL_H
 
 #include "gcache/support/Budget.h"
+#include "gcache/support/ChildProcess.h"
 #include "gcache/support/Status.h"
 
 #include <cstdint>
@@ -55,7 +57,7 @@ namespace gcache {
 struct ServeJob {
   std::string Client;         ///< Client name (diagnostics, manifest).
   std::string ConfigSpec;     ///< memsys/CacheConfig.h parseCacheConfigSpec.
-  std::string SpoolPath;      ///< Raw v2 record bytes (no header/footer).
+  std::string SpoolPath;      ///< Raw v3 record bytes (no header/footer).
   std::string CheckpointPath; ///< Periodic/drain snapshots ("" = never cut).
   uint64_t DeclaredRecords = 0; ///< The End frame's record-count promise.
   uint32_t DeclaredCrc = 0;     ///< The End frame's CRC-32 promise.
@@ -104,10 +106,6 @@ Expected<ServeResult> runServeJob(const ServeJob &Job,
 bool readServeCheckpointCoords(const std::string &Path, std::string &ConfigSpec,
                                uint64_t &Records, uint64_t &Bytes,
                                uint32_t &Crc);
-
-/// Worker child entry: serves job specs from \p JobFd, writes protocol
-/// lines to \p ResultFd, loops until JobFd closes. Never returns.
-[[noreturn]] void serveWorkerMain(int JobFd, int ResultFd);
 
 /// Pool policy.
 struct WorkerPoolOptions {
@@ -195,10 +193,7 @@ public:
 
 private:
   struct Member {
-    int Pid = -1;
-    int JobFd = -1;    ///< Parent writes job specs here.
-    int ResultFd = -1; ///< Parent reads protocol lines here.
-    std::string LineBuf;
+    ChildProcess Proc; ///< Job specs down, protocol lines up.
     uint64_t JobId = 0; ///< 0 = idle.
     uint64_t SlotDeaths = 0, SlotRetries = 0, SlotCompleted = 0;
   };

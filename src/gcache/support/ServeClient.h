@@ -62,7 +62,7 @@ struct ServeClientResult {
   double FailoverMs = 0;
 };
 
-/// Streams \p Trace (raw v2 record bytes; \p Records records with
+/// Streams \p Trace (raw v3 record bytes; \p Records records with
 /// whole-stream CRC-32 \p Crc) to the daemon and returns the reply.
 /// Transport failures and CANCELLED errors are retried per the options;
 /// structured server rejections (CORRUPT, RESOURCE_EXHAUSTED, ...) are

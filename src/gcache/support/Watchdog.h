@@ -14,7 +14,7 @@
 /// only sets flags, and the mutator thread acts on them at its next poll,
 /// so every counter stays bit-identical with or without a watchdog.
 ///
-/// Threads do not survive fork(): start the watchdog *after*
+/// Threads do not survive a fork: start the watchdog *after*
 /// superviseLoop() has forked the supervised child, never before.
 ///
 //===----------------------------------------------------------------------===//

@@ -19,12 +19,12 @@
 /// Frame types:
 ///   Hello      client -> server: `key=value` lines — `client=<name>` and
 ///              `config=<spec>` (memsys/CacheConfig.h parseCacheConfigSpec)
-///   Data       client -> server: raw v2 trace record bytes (the body of a
+///   Data       client -> server: raw v3 trace record bytes (the body of a
 ///              TraceFile record stream, no GCTR header); records may span
 ///              frame boundaries
 ///   End        client -> server: u64 record count | u32 CRC-32 over every
 ///              Data payload byte — the stream's end-to-end checksum,
-///              mirroring the v2 trace footer
+///              mirroring the v3 trace footer
 ///   Reply      server -> client: the simulation result as one-line JSON
 ///   Error      server -> client: `code\nmessage` — a structured denial or
 ///              diagnostic (e.g. RESOURCE_EXHAUSTED, CORRUPT, CANCELLED);

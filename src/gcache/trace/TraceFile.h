@@ -339,9 +339,6 @@ public:
   /// replay their longest valid prefix instead of failing.
   static Expected<uint64_t> replayEx(const std::string &Path, TraceSink &Sink,
                                      const ReplayOptions &Opts = {});
-
-  /// Legacy interface: number of records replayed, or -1 on any error.
-  static int64_t replay(const std::string &Path, TraceSink &Sink);
 };
 
 } // namespace gcache

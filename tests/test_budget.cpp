@@ -187,7 +187,6 @@ std::string freshDir(const char *Name) {
   std::string Dir = std::string(::testing::TempDir()) + "/" + Name;
   mkdir(Dir.c_str(), 0755);
   std::remove((Dir + "/manifest.json").c_str());
-  std::remove((Dir + "/outcomes.list").c_str());
   return Dir;
 }
 
@@ -576,7 +575,7 @@ TEST(MissPlotSnapshot, RejectsDifferentRefsPerColumn) {
 }
 
 //===----------------------------------------------------------------------===//
-// Supervisor: graceful timeout, outcome ledger, tmp sweep
+// Supervisor: graceful timeout, reported outcomes, tmp sweep
 //===----------------------------------------------------------------------===//
 
 TEST(BudgetSupervisor, TimeoutDrainIsPartialNotCrash) {
@@ -590,19 +589,14 @@ TEST(BudgetSupervisor, TimeoutDrainIsPartialNotCrash) {
 
   int Exit = runSupervised(Opts, [&] {
     SignalGuard::install();
-    CheckpointContext Ctx;
-    Ctx.Dir = Dir;
     // A "long unit" that honours the drain protocol: wait for the
-    // supervisor's SIGTERM, record the partial outcome, exit 3.
+    // supervisor's SIGTERM, report the partial outcome, exit 3.
     for (int I = 0; I != 30000 && !cancelToken().requested(); ++I)
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     if (!cancelToken().requested())
       return 1;
-    if (FILE *F = std::fopen(Ctx.outcomesPath().c_str(), "ab")) {
-      std::fprintf(F, "slow-sweep\tpartial-deadline\t0.42\tdrained on "
-                      "SIGTERM\n");
-      std::fclose(F);
-    }
+    reportUnitOutcome("slow-sweep", "partial-deadline", 0.42,
+                      "drained on SIGTERM");
     return 3;
   });
   EXPECT_EQ(Exit, 3);

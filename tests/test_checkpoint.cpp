@@ -16,6 +16,7 @@
 #include "gcache/core/Supervisor.h"
 #include "gcache/memsys/CacheBank.h"
 #include "gcache/support/Snapshot.h"
+#include "gcache/support/Vfs.h"
 #include "gcache/trace/TraceFile.h"
 
 #include <gtest/gtest.h>
@@ -432,10 +433,8 @@ TEST(Supervisor, RestartsFastAbortingChildUntilItSucceeds) {
   Opts.BackoffMs = 1;
 
   int Exit = runSupervised(Opts, [&] {
-    CheckpointContext Ctx;
-    Ctx.Dir = Dir;
     if (bumpCounter(Counter) <= 2) {
-      markUnitInProgress(Ctx, "unit-a");
+      reportUnitStart("unit-a");
       return SupervisedAbortExit;
     }
     return 0;
@@ -456,11 +455,9 @@ TEST(Supervisor, DeniesUnitAfterRetriesAndDegradesGracefully) {
   Opts.BackoffMs = 1;
 
   int Exit = runSupervised(Opts, [&] {
-    CheckpointContext Ctx;
-    Ctx.Dir = Dir;
-    if (isUnitDenied(Ctx, "bad-unit"))
+    if (checkpointContext().isDenied("bad-unit"))
       return 1; // degrade: mark the unit failed, finish the sweep
-    markUnitInProgress(Ctx, "bad-unit");
+    reportUnitStart("bad-unit");
     return SupervisedAbortExit;
   });
   EXPECT_EQ(Exit, 1);
@@ -480,10 +477,8 @@ TEST(Supervisor, RestartsCrashedChildAndAttributesTheSignal) {
   Opts.BackoffMs = 1;
 
   int Exit = runSupervised(Opts, [&] {
-    CheckpointContext Ctx;
-    Ctx.Dir = Dir;
     if (bumpCounter(Counter) == 1) {
-      markUnitInProgress(Ctx, "crashy");
+      reportUnitStart("crashy");
       std::abort();
     }
     return 0;
@@ -505,10 +500,8 @@ TEST(Supervisor, KillsTimedOutChildAndRestarts) {
   Opts.BackoffMs = 1;
 
   int Exit = runSupervised(Opts, [&] {
-    CheckpointContext Ctx;
-    Ctx.Dir = Dir;
     if (bumpCounter(Counter) == 1) {
-      markUnitInProgress(Ctx, "slow-unit");
+      reportUnitStart("slow-unit");
       std::this_thread::sleep_for(std::chrono::seconds(30));
     }
     return 0;
@@ -545,10 +538,47 @@ TEST(Supervisor, CrashLoopWithoutAttributionHitsLaunchCap) {
   Opts.MaxLaunches = 3;
   Opts.BackoffMs = 1;
 
-  // No in-progress marker is ever written, so the supervisor cannot deny a
-  // unit; the launch cap must stop the loop.
+  // No unit start is ever reported, so the supervisor cannot deny a unit;
+  // the launch cap must stop the loop.
   int Exit = runSupervised(Opts, [] { return SupervisedAbortExit; });
   EXPECT_EQ(Exit, 70);
   std::string Manifest = readWholeFile(Dir + "/manifest.json");
   EXPECT_NE(Manifest.find("\"result\": \"crash-loop\""), std::string::npos);
+}
+
+// The checkpoint directory holds the resume state and the run's record,
+// nothing else: crash attribution and outcomes travel over the child's
+// pipe, denials through the fork.
+TEST(Supervisor, LeavesOnlyUnitSnapshotsAndManifest) {
+  std::string Dir = freshSupervisorDir("sup_clean");
+  for (const std::string &Name : vfs().list(Dir).take())
+    std::remove((Dir + "/" + Name).c_str());
+  SupervisorOptions Opts;
+  Opts.CheckpointDir = Dir;
+  Opts.MaxRetries = 1;
+  Opts.BackoffMs = 1;
+
+  int Exit = runSupervised(Opts, [&] {
+    CheckpointContext Ctx;
+    Ctx.Dir = Dir;
+    reportUnitStart("good");
+    writeWholeFile(Ctx.unitSnapshotPath("good"), "finished");
+    reportUnitOutcome("good", "ok", 1.0, "");
+    if (checkpointContext().isDenied("bad"))
+      return 1;
+    reportUnitStart("bad");
+    return SupervisedAbortExit;
+  });
+  EXPECT_EQ(Exit, 1);
+
+  std::string Manifest = readWholeFile(Dir + "/manifest.json");
+  EXPECT_NE(Manifest.find("{\"name\": \"good\", \"outcome\": \"ok\", "
+                          "\"coverage\": 1, \"note\": \"\"}"),
+            std::string::npos)
+      << Manifest;
+  EXPECT_NE(Manifest.find("\"unit\": \"bad\""), std::string::npos);
+  EXPECT_NE(Manifest.find("\"denied_units\": [\"bad\"]"), std::string::npos);
+
+  std::vector<std::string> Names = vfs().list(Dir).take();
+  EXPECT_EQ(Names, (std::vector<std::string>{"good.snap", "manifest.json"}));
 }

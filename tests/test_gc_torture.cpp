@@ -43,14 +43,15 @@ protected:
     return std::string(::testing::TempDir()) + "/" + Name + ".snap";
   }
 
-  /// Kills a fresh run of \p C at boundary \p K (cutting at every
-  /// boundary), then resumes a second fresh world from the cut and
-  /// returns its digest.
+  /// Kills a fresh run of \p C at boundary \p K via the gc-step-abort
+  /// site (cutting at every boundary), then resumes a second fresh world
+  /// from the cut and returns its digest. Arming resets the site
+  /// counters, so the run's Kth boundary fires.
   static GcTortureDigest killAndResume(const GcTortureConfig &C, uint64_t K,
                                        const std::string &Path) {
     GcTortureConfig Killed = C;
     Killed.SnapshotPath = Path;
-    Killed.KillAtStep = K;
+    faultInjector().arm({FaultSite::GcStepAbort, K});
     {
       GcTortureRun R(Killed);
       try {
@@ -212,7 +213,7 @@ TEST_F(GcTorture, InjectedStepAbortResumesBitIdentically) {
 TEST_F(GcTorture, ResumeRejectsMismatchedConfiguration) {
   GcTortureConfig C = baseConfig(GcKind::Cheney);
   C.SnapshotPath = tempSnap("torture_mismatch");
-  C.KillAtStep = 3;
+  faultInjector().arm({FaultSite::GcStepAbort, 3});
   {
     GcTortureRun R(C);
     EXPECT_THROW(R.run(), StatusError);

@@ -132,8 +132,9 @@ TEST(ParallelBank, MatchesSerialOnRecordedTrace) {
 
   CacheBank Serial;
   addPaperGridWithBlockStats(Serial);
-  int64_t SerialRecords = TraceReader::replay(Path, Serial);
-  ASSERT_GT(SerialRecords, 0);
+  Expected<uint64_t> SerialRecords = TraceReader::replayEx(Path, Serial);
+  ASSERT_TRUE(SerialRecords.ok()) << SerialRecords.status().message();
+  ASSERT_GT(*SerialRecords, 0u);
 
   for (unsigned Threads : {1u, 2u, 4u}) {
     CacheBank Parallel;
@@ -141,7 +142,9 @@ TEST(ParallelBank, MatchesSerialOnRecordedTrace) {
     // Small batches force many in-flight batches per worker queue.
     Parallel.setThreads(Threads, /*BatchRefs=*/4096);
     EXPECT_EQ(Parallel.threads(), Threads);
-    EXPECT_EQ(TraceReader::replay(Path, Parallel), SerialRecords);
+    Expected<uint64_t> Records = TraceReader::replayEx(Path, Parallel);
+    ASSERT_TRUE(Records.ok()) << Records.status().message();
+    EXPECT_EQ(*Records, *SerialRecords);
     Parallel.flush();
     expectBanksEqual(Serial, Parallel);
   }

@@ -85,7 +85,7 @@ std::string readWholeFile(const std::string &Path) {
   return Data;
 }
 
-/// A deterministic v2 record stream: both phases, both access kinds,
+/// A deterministic v3 record stream: both phases, both access kinds,
 /// allocations, GC windows — the same stream for the same (Refs, Seed).
 struct Stream {
   std::vector<uint8_t> Bytes;
@@ -1221,6 +1221,71 @@ TEST(ServeDaemon, DeliveredPartialKeepsItsSpoolAndCheckpoint) {
     ++Entries;
   }
   EXPECT_EQ(Entries, 1) << M;
+}
+
+// A job still queued when SIGTERM lands never cut a checkpoint, so its
+// partials[] entry names its spool and no checkpoint (resume from record
+// 0) — never a checkpoint file that was never written. The daemon runs
+// under --audit, which fails it (exit 1) on any entry naming a missing
+// file.
+TEST(ServeDaemon, QueuedJobAtSigtermIsListedWithoutACheckpoint) {
+  GovernanceReset G;
+  Daemon D = startDaemon([](ServeOptions &O) {
+    O.Workers = 1;
+    O.CheckpointEveryRecords = 1000;
+    O.DrainGraceMs = 30000;
+    O.Audit = true;
+  });
+  std::string Config = "size=16k,block=32;size=64k,block=64;size=256k,block=128";
+  Stream S = makeStream(300000, 57);
+
+  Client Running;
+  Running.connect(D.Sock);
+  Running.hello("running", Config);
+  Running.data(S.Bytes);
+  Running.end(S.Records, S.Crc);
+  for (int I = 0; I < 5000 && jsonFindInt(fetchStatus(D.Sock), "jobs_running",
+                                          0) < 1;
+       ++I)
+    usleep(1000);
+
+  Client Queued;
+  Queued.connect(D.Sock);
+  Queued.hello("queued", Config);
+  Queued.data(S.Bytes);
+  Queued.end(S.Records, S.Crc);
+  std::string M;
+  for (int I = 0; I < 5000; ++I) {
+    M = fetchStatus(D.Sock);
+    if (jsonFindInt(M, "jobs_queued", 0) >= 1)
+      break;
+    usleep(1000);
+  }
+  ASSERT_EQ(jsonFindInt(M, "jobs_running", 0), 1) << M;
+  ASSERT_EQ(jsonFindInt(M, "jobs_queued", 0), 1) << M;
+  D.term();
+
+  Running.recv(60000);
+  Queued.recv(60000);
+  EXPECT_EQ(D.waitExit(), ServeExitDrained);
+
+  M = D.manifest();
+  size_t At = M.find("\"partials\":[{");
+  ASSERT_NE(At, std::string::npos) << M;
+  int Entries = 0;
+  for (At = M.find("{\"client\":", At); At != std::string::npos;
+       At = M.find("{\"client\":", At + 1)) {
+    std::string Entry = M.substr(At);
+    std::string Spool = jsonFindString(Entry, "spool");
+    std::string Ckpt = jsonFindString(Entry, "checkpoint");
+    EXPECT_EQ(access(Spool.c_str(), F_OK), 0) << Spool;
+    if (jsonFindString(Entry, "client") == "queued")
+      EXPECT_EQ(Ckpt, "") << M;
+    else
+      EXPECT_EQ(access(Ckpt.c_str(), F_OK), 0) << Ckpt;
+    ++Entries;
+  }
+  EXPECT_EQ(Entries, 2) << M;
 }
 
 TEST(ServeDaemon, StatusEndpointAnswersBeforeHello) {
