@@ -17,9 +17,6 @@
 ///                batch-mode kernel (default CacheBank::DefaultBatchRefs;
 ///                GCACHE_BATCH env). Counters are bit-identical at any
 ///                batch size; see memsys/BatchKernel.h.
-///   --no-batch   serial runs dispatch per reference instead of using the
-///                batch kernel (A/B baseline; counters are identical,
-///                only refs/s changes)
 ///   --fault S    arm a fault-injection plan `<site>:<n>[:<seed>]`
 ///                (GCACHE_FAULT env; see support/FaultInjector.h)
 ///   --paranoid[=phase]  verify the live heap after every collection and
@@ -112,7 +109,6 @@ struct BenchArgs {
   bool Csv = false;
   unsigned Threads = 0;
   size_t BatchRefs = 0; ///< 0 = CacheBank::DefaultBatchRefs.
-  bool NoBatch = false; ///< Serial per-reference dispatch (A/B baseline).
   bool Paranoid = false;
   bool ParanoidPhase = false;   ///< --paranoid=phase.
   uint64_t CrossCheckEvery = 0; ///< 0 = off; 1 = every ref.
@@ -140,7 +136,7 @@ inline BenchArgs parseBenchArgs(int Argc, char **Argv,
 
   std::vector<std::string> Known = {
       "scale",          "csv",              "workload", "threads",
-      "batch",          "no-batch",
+      "batch",
       "fault",          "paranoid",         "crosscheck", "audit",
       "checkpoint-dir",
       "checkpoint-every", "resume",         "supervise",
@@ -170,7 +166,6 @@ inline BenchArgs parseBenchArgs(int Argc, char **Argv,
   A.Scale = OrExit(A.Opts.getStrictDouble("scale", 0.3));
   A.Threads = OrExit(A.Opts.getStrictUnsigned("threads", 0));
   A.BatchRefs = OrExit(A.Opts.getStrictUnsigned("batch", 0));
-  A.NoBatch = A.Opts.getBool("no-batch", false);
 
   A.Csv = A.Opts.getBool("csv", false);
 
@@ -277,7 +272,6 @@ inline ExperimentOptions baseExperimentOptions(const BenchArgs &A) {
   Opts.Scale = A.Scale;
   Opts.Threads = A.Threads;
   Opts.BatchRefs = A.BatchRefs;
-  Opts.Batched = !A.NoBatch;
   Opts.Paranoid = A.Paranoid;
   Opts.ParanoidPhase = A.ParanoidPhase;
   Opts.CrossCheckEvery = A.CrossCheckEvery;

@@ -16,11 +16,9 @@
 //                       column occupancy
 //   --gc-phases         report per-trace GC phase statistics: cycle and
 //                       step counts, and how collector references
-//                       distribute over the stepped phases (pre-v3
-//                       traces show their collector refs unattributed)
+//                       distribute over the stepped phases
 //   --replay            replay into a simulated cache and print miss counts
-//                       (serial replays use the batch kernel; --no-batch
-//                       reverts to per-reference dispatch)
+//                       (serial replays use the batch kernel)
 //   --cache-size=<b>    simulated cache size for --replay (default 65536)
 //   --block-size=<b>    simulated block size for --replay (default 64)
 //   --stop-after=<n>    abort after n records (kill simulation for testing)
@@ -166,7 +164,7 @@ int main(int Argc, char **Argv) {
     std::printf("  %llu mutator refs outside cycles",
                 static_cast<unsigned long long>(P.MutatorRefs));
     if (P.UnattributedCollectorRefs)
-      std::printf(", %llu collector refs unattributed (pre-v3 trace)",
+      std::printf(", %llu collector refs unattributed",
                   static_cast<unsigned long long>(
                       P.UnattributedCollectorRefs));
     std::printf("\n");
@@ -193,7 +191,7 @@ int main(int Argc, char **Argv) {
   if (A.Threads)
     Bank.setThreads(A.Threads,
                     A.BatchRefs ? A.BatchRefs : CacheBank::DefaultBatchRefs);
-  else if (!A.NoBatch)
+  else
     Bank.setBatched(true,
                     A.BatchRefs ? A.BatchRefs : CacheBank::DefaultBatchRefs);
   CountingSink Counts;

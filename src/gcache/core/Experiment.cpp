@@ -64,7 +64,7 @@ ProgramRun gcache::runProgram(const Workload &W,
   size_t BatchRefs =
       Opts.BatchRefs ? Opts.BatchRefs : CacheBank::DefaultBatchRefs;
   Bank->setThreads(Opts.Threads, BatchRefs);
-  if (!Opts.Threads && Opts.Batched)
+  if (!Opts.Threads)
     Bank->setBatched(true, BatchRefs);
 
   CountingSink Counts;

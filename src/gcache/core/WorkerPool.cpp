@@ -360,9 +360,36 @@ bool gcache::readServeCheckpointCoords(const std::string &Path,
   return C.finish().ok();
 }
 
+/// Closes every open fd in [\p From, \p To].
+static void closeFdRange(unsigned From, unsigned To) {
+  if (From > To)
+    return;
+#if defined(__linux__) && defined(__GLIBC__) &&                              \
+    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 34))
+  if (close_range(From, To, 0) == 0)
+    return;
+#endif
+  const long Max = sysconf(_SC_OPEN_MAX);
+  const unsigned Last =
+      std::min<unsigned>(To, Max > 0 ? static_cast<unsigned>(Max - 1) : 1023);
+  for (unsigned Fd = From; Fd <= Last; ++Fd)
+    close(static_cast<int>(Fd));
+}
+
 /// Worker child entry: serves job specs from \p JobFd, writes protocol
 /// lines to \p ResultFd, loops until JobFd closes.
 [[noreturn]] static void serveWorkerMain(int JobFd, int ResultFd) {
+  // The fork copied every fd the daemon held: its listening socket, live
+  // client sockets, and the pipe ends of the workers forked before this
+  // one. Keep only stdio and this worker's own pipes, so no sibling's job
+  // pipe and no client connection stays open on this worker's account.
+  unsigned From = 3;
+  for (int Keep : {std::min(JobFd, ResultFd), std::max(JobFd, ResultFd)})
+    if (Keep >= 3) {
+      closeFdRange(From, static_cast<unsigned>(Keep) - 1);
+      From = static_cast<unsigned>(Keep) + 1;
+    }
+  closeFdRange(From, ~0u);
 #ifdef __linux__
   // Die with the daemon: a killed parent must not leave orphan workers.
   prctl(PR_SET_PDEATHSIG, SIGKILL);
@@ -639,6 +666,10 @@ void WorkerPool::pump(std::vector<Event> &Events) {
       E.JobId = P.Id;
       E.Attempt = P.Attempt;
       E.Result.Outcome = UnitOutcome::Cancelled;
+      E.Result.ReplyJson =
+          "{\"client\":\"" + jsonEscape(P.Job.Client) + "\",\"outcome\":\"" +
+          unitOutcomeName(E.Result.Outcome) +
+          "\",\"records\":" + std::to_string(E.Result.Records) + "}";
       Events.push_back(std::move(E));
     }
     Queue.clear();

@@ -45,7 +45,6 @@ const BatchIndex::BlockColumns &BatchIndex::columnsFor(uint32_t BlockBytes) {
   const uint32_t OffsetMask = BlockBytes - 1;
   const Address *Addr = Batch->Addr.data();
   const uint8_t *Kind = Batch->Kind.data();
-  const uint8_t *PhaseTag = Batch->PhaseTag.data();
   size_t R = static_cast<size_t>(-1); // index of the run being extended
   uint32_t PrevBI = 0;
   for (size_t I = 0; I != N; ++I) {
@@ -55,7 +54,7 @@ const BatchIndex::BlockColumns &BatchIndex::columnsFor(uint32_t BlockBytes) {
     const bool IsStore = (Kind[I] & 1) != 0;
     if (I != 0 && BI == PrevBI) {
       // Same block as the previous reference: extend the run. The length
-      // lives in the low 29 bits, so ++ never carries into the flags.
+      // lives in the low bits, so ++ never carries into the flags.
       ++RP[R];
       if (IsStore)
         SM[R] |= WBit;
@@ -65,8 +64,6 @@ const BatchIndex::BlockColumns &BatchIndex::columnsFor(uint32_t BlockBytes) {
       uint32_t Packed = 1;
       if (IsStore)
         Packed |= BlockColumns::RunFirstIsStore;
-      if (PhaseTag[I] & 1)
-        Packed |= BlockColumns::RunFirstCollector;
       ++R;
       RP[R] = Packed;
       RB[R] = BI;
@@ -124,10 +121,73 @@ Status BatchKernel::validate(const RefColumns &Batch) {
   return Status();
 }
 
-/// The batch inner loop, specialized on the two properties that change
-/// its shape (set scan and per-block bookkeeping). Policy flags only
-/// select among counter increments, so they stay hoisted locals — the
-/// branch predictor treats loop-invariant booleans as free.
+namespace {
+
+/// The first reference of a run against one cache line: the only
+/// reference of a run that can block-miss. \p Resident says whether \p L
+/// already holds the run's block (otherwise \p L is the victim to evict
+/// and refill). The miss events count into \p Fetch, \p NoFetch and
+/// \p Wb for the batch's one phase; with \p PerBlock they also count
+/// into the per-block arrays at \p SetIdx. Every batch loop (the solo
+/// loop and both caches of the paired loop) makes this transition through
+/// here, and it is the state change Cache::simulate makes for the same
+/// reference. Templated on the line type so it can name Cache's private
+/// Line without being a member.
+template <bool PerBlock, typename LineT>
+[[gnu::always_inline]] inline void
+firstRef(LineT *L, bool Resident, uint32_t Tag, uint64_t WB, bool IsStore,
+         bool TrackDirty, bool FoW, uint64_t FullMask, uint64_t &Fetch,
+         uint64_t &NoFetch, uint64_t &Wb, uint64_t *BlockMisses,
+         uint64_t *BlockFetch, uint32_t SetIdx) {
+  if (Resident) {
+    if (IsStore) {
+      L->ValidMask |= WB;
+      if (TrackDirty)
+        L->Dirty = true;
+    } else if (!(L->ValidMask & WB)) {
+      // Sub-block read miss: resident block, never-fetched word.
+      L->ValidMask = FullMask;
+      ++Fetch;
+      if constexpr (PerBlock) {
+        ++BlockMisses[SetIdx];
+        ++BlockFetch[SetIdx];
+      }
+    }
+    return;
+  }
+  // Block miss: evict the line (writing back if dirty), install.
+  if (L->ValidMask != 0 && L->Dirty)
+    ++Wb;
+  L->Tag = Tag;
+  L->Dirty = false;
+  if (IsStore && !FoW) {
+    L->ValidMask = WB;
+    if (TrackDirty)
+      L->Dirty = true;
+    ++NoFetch;
+    if constexpr (PerBlock)
+      ++BlockMisses[SetIdx];
+  } else {
+    L->ValidMask = FullMask;
+    if (IsStore && TrackDirty)
+      L->Dirty = true;
+    ++Fetch;
+    if constexpr (PerBlock) {
+      ++BlockMisses[SetIdx];
+      ++BlockFetch[SetIdx];
+    }
+  }
+}
+
+} // namespace
+
+/// The batch inner loop over a single-phase batch, specialized on the two
+/// properties that change its shape (set scan and per-block bookkeeping).
+/// Policy flags only select among counter increments, so they stay
+/// hoisted locals — the branch predictor treats loop-invariant booleans
+/// as free. Direct-mapped caches (the whole paper grid) run the same set
+/// scan with the way count fixed at one, which folds to a single line
+/// probe.
 ///
 /// The loop walks the batch run by run (BlockColumns::RunPacked), not
 /// reference by reference: one same-block run needs one set scan and one
@@ -143,7 +203,7 @@ Status BatchKernel::validate(const RefColumns &Batch) {
 /// run. The bit-identity tests pin this loop to the scalar path at every
 /// flush boundary; any change here must be mirrored there (and vice
 /// versa).
-template <bool DirectMapped, bool PerBlock, bool Mixed>
+template <bool DirectMapped, bool PerBlock>
 void BatchKernel::runLoop(Cache &C, const RefColumns &Batch,
                           const BatchIndex::BlockColumns &Cols,
                           const BatchIndex::RefTally &Tally,
@@ -151,17 +211,14 @@ void BatchKernel::runLoop(Cache &C, const RefColumns &Batch,
   using Line = Cache::Line;
   const uint32_t SetMask = C.SetMask;
   const uint32_t SetShift = std::bit_width(SetMask); // log2(numSets)
-  const uint32_t Ways = C.Config.Ways;
+  const uint32_t Ways = DirectMapped ? 1 : C.Config.Ways;
   const uint64_t FullMask = C.FullMask;
   const uint32_t OffsetMask = Cols.BlockBytes - 1;
   const bool WriteThrough = C.Config.WriteHit == WriteHitPolicy::WriteThrough;
   const bool TrackDirty = C.Config.WriteHit == WriteHitPolicy::WriteBack;
-  const bool FetchOnWriteAlways =
-      C.Config.WriteMiss == WriteMissPolicy::FetchOnWrite;
-  const bool CollectorFoW = C.Config.CollectorFetchOnWrite;
-  // Single-phase batches resolve the fetch-on-write decision once here.
-  const bool BatchFoW =
-      FetchOnWriteAlways || (CollectorFoW && BatchPhase != 0);
+  // The batch has one phase, so the fetch-on-write decision is made once.
+  const bool FoW = C.Config.WriteMiss == WriteMissPolicy::FetchOnWrite ||
+                   (C.Config.CollectorFetchOnWrite && BatchPhase != 0);
 
   Line *Lines = C.Lines.data();
   const uint32_t *RunPacked = Cols.RunPacked.data();
@@ -171,26 +228,17 @@ void BatchKernel::runLoop(Cache &C, const RefColumns &Batch,
   const size_t NumRuns = Cols.NumRuns;
   const Address *Addr = Batch.Addr.data();
   const uint8_t *Kind = Batch.Kind.data();
-  [[maybe_unused]] const uint8_t *PhaseTag = Batch.PhaseTag.data();
   uint64_t *BlockRefs = PerBlock ? C.BlockRefs.data() : nullptr;
   uint64_t *BlockMisses = PerBlock ? C.BlockMisses.data() : nullptr;
   uint64_t *BlockFetch = PerBlock ? C.BlockFetchMisses.data() : nullptr;
 
-  // Counters accumulate in locals and write back once at the end. Loads,
-  // stores, and (for write-through) store write-throughs are bulk-added
-  // from the batch tally; the loop only counts miss events. A single-
-  // phase batch counts them in three scalar locals — a phase-indexed
-  // counter array in the loop forces the counts through memory, which
-  // costs a third of the whole loop.
+  // The clock and the miss events accumulate in scalar locals and write
+  // back once at the end (counting through a phase-indexed array in the
+  // loop forces the counts through memory, which costs a third of the
+  // loop). Loads, stores, and store write-throughs are bulk-added from
+  // the batch tally.
   uint64_t Clock = C.LruClock;
-  CacheCounters Cnt[2] = {C.Counts[0], C.Counts[1]};
-  for (unsigned P = 0; P != 2; ++P) {
-    Cnt[P].Loads += Tally.Loads[P];
-    Cnt[P].Stores += Tally.Stores[P];
-    if (WriteThrough)
-      Cnt[P].WriteThroughs += Tally.Stores[P];
-  }
-  [[maybe_unused]] uint64_t FetchL = 0, NoFetchL = 0, WbL = 0;
+  uint64_t Fetch = 0, NoFetch = 0, Wb = 0;
 
   // Runs hit random cache sets, and for large simulated caches the Lines
   // array outgrows the host L1/L2 — the line lookup would be a dependent
@@ -200,323 +248,132 @@ void BatchKernel::runLoop(Cache &C, const RefColumns &Batch,
 
   using BC = BatchIndex::BlockColumns;
   size_t I = 0;
-  if constexpr (DirectMapped) {
-    // Direct-mapped (the whole paper grid): no way scan, one line probe
-    // per run. The hit/miss branches stay — on real streams they are
-    // strongly biased (sequential stores hit, far-ranging loads miss)
-    // and predicted branches beat the longer dependent chains of a
-    // branch-free formulation.
-    for (size_t R = 0; R != NumRuns; ++R) {
-      {
-        const size_t PR = R + PrefetchRuns;
-        if (PR < NumRuns)
-          __builtin_prefetch(Lines + (RunBlockIdx[PR] & SetMask));
+  for (size_t R = 0; R != NumRuns; ++R) {
+    {
+      const size_t PR = R + PrefetchRuns;
+      if (PR < NumRuns)
+        __builtin_prefetch(
+            Lines + static_cast<size_t>(RunBlockIdx[PR] & SetMask) * Ways);
+    }
+    const uint32_t Packed = RunPacked[R];
+    const uint32_t Len = Packed & BC::RunLenMask;
+    const uint32_t BI = RunBlockIdx[R];
+    const uint32_t SetIdx = BI & SetMask;
+    const uint32_t Tag = BI >> SetShift;
+
+    // One set scan per run: every reference after the first is
+    // guaranteed to find the block resident (ValidMask never drops to
+    // 0 between the install and the end of the run).
+    Line *Set = Lines + static_cast<size_t>(SetIdx) * Ways;
+    Line *Found = nullptr;
+    Line *Victim = Set;
+    for (uint32_t W = 0; W != Ways; ++W) {
+      Line &Way = Set[W];
+      if (Way.ValidMask != 0 && Way.Tag == Tag) {
+        Found = &Way;
+        break;
       }
-      const uint32_t Packed = RunPacked[R];
-      const uint32_t Len = Packed & BC::RunLenMask;
-      const uint32_t BI = RunBlockIdx[R];
-      const uint32_t SetIdx = BI & SetMask;
-      const uint32_t Tag = BI >> SetShift;
-      Line *L = Lines + SetIdx;
-      const uint64_t WB = FirstWordBit[R];
-      const unsigned P =
-          Mixed ? ((Packed & BC::RunFirstCollector) ? 1 : 0) : BatchPhase;
-      const bool IsStore = (Packed & BC::RunFirstIsStore) != 0;
-      ++Clock;
-      if (L->ValidMask != 0 && L->Tag == Tag) {
-        if (IsStore) {
-          L->ValidMask |= WB;
-          if (TrackDirty)
-            L->Dirty = true;
-        } else if (!(L->ValidMask & WB)) {
-          // Sub-block read miss: resident block, never-fetched word.
-          L->ValidMask = FullMask;
-          if constexpr (Mixed)
-            ++Cnt[P].FetchMisses;
-          else
-            ++FetchL;
-          if constexpr (PerBlock) {
-            ++BlockMisses[SetIdx];
-            ++BlockFetch[SetIdx];
-          }
-        }
+      if (Way.ValidMask == 0) {
+        Victim = &Way; // Prefer an empty way (last one scanned wins).
+      } else if (Victim->ValidMask != 0 && Way.LruStamp < Victim->LruStamp) {
+        Victim = &Way;
+      }
+    }
+    Line *L = Found ? Found : Victim;
+
+    // First reference of the run. Its decomposition lives in the run-
+    // indexed columns, so store-only runs and singleton loads never
+    // touch per-reference arrays.
+    ++Clock;
+    firstRef<PerBlock>(L, Found != nullptr, Tag, FirstWordBit[R],
+                       (Packed & BC::RunFirstIsStore) != 0, TrackDirty, FoW,
+                       FullMask, Fetch, NoFetch, Wb, BlockMisses, BlockFetch,
+                       SetIdx);
+    ++I;
+
+    if (const uint32_t Rest = Len - 1) {
+      if (!(Packed & BC::RunHasTailLoad)) {
+        // Store-only tail: stores to a resident block just OR their
+        // word bits and set the dirty flag, so the whole tail is
+        // three register ops (the counters came from the tally).
+        L->ValidMask |= StoreMask[R];
+        if (TrackDirty)
+          L->Dirty = true;
+        Clock += Rest;
+        I += Rest;
       } else {
-        // Block miss: evict the line (writing back if dirty), install.
-        if (L->ValidMask != 0 && L->Dirty) {
-          if constexpr (Mixed)
-            ++Cnt[P].Writebacks;
-          else
-            ++WbL;
-        }
-        L->Tag = Tag;
-        L->Dirty = false;
-        const bool FetchOnWrite =
-            Mixed ? (FetchOnWriteAlways || (CollectorFoW && P != 0))
-                  : BatchFoW;
-        if (IsStore && !FetchOnWrite) {
-          L->ValidMask = WB;
-          if (TrackDirty)
-            L->Dirty = true;
-          if constexpr (Mixed)
-            ++Cnt[P].NoFetchMisses;
-          else
-            ++NoFetchL;
-          if constexpr (PerBlock)
-            ++BlockMisses[SetIdx];
-        } else {
-          L->ValidMask = FullMask;
-          if (IsStore && TrackDirty)
-            L->Dirty = true;
-          if constexpr (Mixed)
-            ++Cnt[P].FetchMisses;
-          else
-            ++FetchL;
-          if constexpr (PerBlock) {
-            ++BlockMisses[SetIdx];
-            ++BlockFetch[SetIdx];
-          }
-        }
-      }
-      ++I;
-
-      if (const uint32_t Rest = Len - 1) {
-        if (!(Packed & BC::RunHasTailLoad)) {
-          // Store-only tail: stores to a resident block just OR their
-          // word bits and set the dirty flag, so the whole tail is
-          // three register ops (the counters came from the tally).
-          L->ValidMask |= StoreMask[R];
-          if (TrackDirty)
-            L->Dirty = true;
-          Clock += Rest;
-          I += Rest;
-        } else {
-          // The tail holds loads, whose sub-block validity depends on
-          // the exact interleaving: walk it with state in registers.
-          uint64_t VM = L->ValidMask;
-          bool Dirty = L->Dirty;
-          for (const size_t End = I + Rest; I != End; ++I) {
-            ++Clock;
-            const uint64_t Bit = 1ull << ((Addr[I] & OffsetMask) >> 2);
-            if (Kind[I] & 1) {
-              VM |= Bit;
-              Dirty |= TrackDirty;
-            } else if (!(VM & Bit)) {
-              VM = FullMask;
-              if constexpr (Mixed)
-                ++Cnt[PhaseTag[I] & 1].FetchMisses;
-              else
-                ++FetchL;
-              if constexpr (PerBlock) {
-                ++BlockMisses[SetIdx];
-                ++BlockFetch[SetIdx];
-              }
-            }
-          }
-          L->ValidMask = VM;
-          L->Dirty = Dirty;
-        }
-      }
-      // The scalar path stamps every access; only the final stamp of
-      // the run (== the clock at its last reference) is observable.
-      L->LruStamp = Clock;
-      if constexpr (PerBlock)
-        BlockRefs[SetIdx] += Len;
-    }
-  } else {
-    for (size_t R = 0; R != NumRuns; ++R) {
-      {
-        const size_t PR = R + PrefetchRuns;
-        if (PR < NumRuns)
-          __builtin_prefetch(
-              Lines + static_cast<size_t>(RunBlockIdx[PR] & SetMask) * Ways);
-      }
-      const uint32_t Packed = RunPacked[R];
-      const uint32_t Len = Packed & BC::RunLenMask;
-      const uint32_t BI = RunBlockIdx[R];
-      const uint32_t SetIdx = BI & SetMask;
-      const uint32_t Tag = BI >> SetShift;
-
-      // One set scan per run: every reference after the first is
-      // guaranteed to find the block resident (ValidMask never drops to
-      // 0 between the install and the end of the run).
-      Line *Set = Lines + static_cast<size_t>(SetIdx) * Ways;
-      Line *Found = nullptr;
-      Line *Victim = Set;
-      for (uint32_t W = 0; W != Ways; ++W) {
-        Line &Way = Set[W];
-        if (Way.ValidMask != 0 && Way.Tag == Tag) {
-          Found = &Way;
-          break;
-        }
-        if (Way.ValidMask == 0) {
-          Victim = &Way; // Prefer an empty way (last one scanned wins).
-        } else if (Victim->ValidMask != 0 &&
-                   Way.LruStamp < Victim->LruStamp) {
-          Victim = &Way;
-        }
-      }
-      const bool Resident = Found != nullptr;
-      Line *L = Found ? Found : Victim;
-
-      // First reference of the run: the only one that can block-miss.
-      // Its decomposition lives in the run-indexed columns, so store-
-      // only runs and singleton loads never touch per-reference arrays.
-      {
-        const uint64_t WB = FirstWordBit[R];
-        const unsigned P =
-            Mixed ? ((Packed & BC::RunFirstCollector) ? 1 : 0) : BatchPhase;
-        const bool IsStore = (Packed & BC::RunFirstIsStore) != 0;
-        ++Clock;
-        if (Resident) {
-          if (IsStore) {
-            L->ValidMask |= WB;
-            if (TrackDirty)
-              L->Dirty = true;
-          } else if (!(L->ValidMask & WB)) {
-            // Sub-block read miss: resident block, never-fetched word.
-            L->ValidMask = FullMask;
-            if constexpr (Mixed)
-              ++Cnt[P].FetchMisses;
-            else
-              ++FetchL;
-            if constexpr (PerBlock) {
-              ++BlockMisses[SetIdx];
-              ++BlockFetch[SetIdx];
-            }
-          }
-        } else {
-          // Block miss: evict the victim (writeback if dirty), install.
-          if (L->ValidMask != 0 && L->Dirty) {
-            if constexpr (Mixed)
-              ++Cnt[P].Writebacks;
-            else
-              ++WbL;
-          }
-          L->Tag = Tag;
-          L->Dirty = false;
-          const bool FetchOnWrite =
-              Mixed ? (FetchOnWriteAlways || (CollectorFoW && P != 0))
-                    : BatchFoW;
-          if (IsStore && !FetchOnWrite) {
-            L->ValidMask = WB;
-            if (TrackDirty)
-              L->Dirty = true;
-            if constexpr (Mixed)
-              ++Cnt[P].NoFetchMisses;
-            else
-              ++NoFetchL;
-            if constexpr (PerBlock)
-              ++BlockMisses[SetIdx];
-          } else {
-            L->ValidMask = FullMask;
-            if (IsStore && TrackDirty)
-              L->Dirty = true;
-            if constexpr (Mixed)
-              ++Cnt[P].FetchMisses;
-            else
-              ++FetchL;
+        // The tail holds loads, whose sub-block validity depends on
+        // the exact interleaving: walk it with state in registers.
+        uint64_t VM = L->ValidMask;
+        bool Dirty = L->Dirty;
+        for (const size_t End = I + Rest; I != End; ++I) {
+          ++Clock;
+          const uint64_t Bit = 1ull << ((Addr[I] & OffsetMask) >> 2);
+          if (Kind[I] & 1) {
+            VM |= Bit;
+            Dirty |= TrackDirty;
+          } else if (!(VM & Bit)) {
+            VM = FullMask;
+            ++Fetch;
             if constexpr (PerBlock) {
               ++BlockMisses[SetIdx];
               ++BlockFetch[SetIdx];
             }
           }
         }
+        L->ValidMask = VM;
+        L->Dirty = Dirty;
       }
-      ++I;
-
-      if (const uint32_t Rest = Len - 1) {
-        if (!(Packed & BC::RunHasTailLoad)) {
-          // Store-only tail: stores to a resident block just OR their
-          // word bits and set the dirty flag, so the whole tail is
-          // three register ops (the counters came from the tally).
-          L->ValidMask |= StoreMask[R];
-          if (TrackDirty)
-            L->Dirty = true;
-          Clock += Rest;
-          I += Rest;
-        } else {
-          // The tail holds loads, whose sub-block validity depends on
-          // the exact interleaving: walk it with state in registers.
-          uint64_t VM = L->ValidMask;
-          bool Dirty = L->Dirty;
-          for (const size_t End = I + Rest; I != End; ++I) {
-            ++Clock;
-            const uint64_t Bit = 1ull << ((Addr[I] & OffsetMask) >> 2);
-            if (Kind[I] & 1) {
-              VM |= Bit;
-              Dirty |= TrackDirty;
-            } else if (!(VM & Bit)) {
-              VM = FullMask;
-              if constexpr (Mixed)
-                ++Cnt[PhaseTag[I] & 1].FetchMisses;
-              else
-                ++FetchL;
-              if constexpr (PerBlock) {
-                ++BlockMisses[SetIdx];
-                ++BlockFetch[SetIdx];
-              }
-            }
-          }
-          L->ValidMask = VM;
-          L->Dirty = Dirty;
-        }
-      }
-      // The scalar path stamps every access; only the final stamp of
-      // the run (== the clock at its last reference) is observable.
-      L->LruStamp = Clock;
-      if constexpr (PerBlock)
-        BlockRefs[SetIdx] += Len;
     }
+    // The scalar path stamps every access; only the final stamp of
+    // the run (== the clock at its last reference) is observable.
+    L->LruStamp = Clock;
+    if constexpr (PerBlock)
+      BlockRefs[SetIdx] += Len;
   }
 
   C.LruClock = Clock;
-  if constexpr (!Mixed) {
-    Cnt[BatchPhase].FetchMisses += FetchL;
-    Cnt[BatchPhase].NoFetchMisses += NoFetchL;
-    Cnt[BatchPhase].Writebacks += WbL;
-  }
-  C.Counts[0] = Cnt[0];
-  C.Counts[1] = Cnt[1];
+  CacheCounters &Cnt = C.Counts[BatchPhase];
+  Cnt.Loads += Tally.Loads[BatchPhase];
+  Cnt.Stores += Tally.Stores[BatchPhase];
+  if (WriteThrough)
+    Cnt.WriteThroughs += Tally.Stores[BatchPhase];
+  Cnt.FetchMisses += Fetch;
+  Cnt.NoFetchMisses += NoFetch;
+  Cnt.Writebacks += Wb;
 }
 
 void BatchKernel::run(Cache &C, const RefColumns &Batch, BatchIndex &Index) {
   assert(Index.batch() == &Batch && "index was reset to a different batch");
   if (Batch.empty())
     return;
-  if (C.crossCheckEnabled()) {
-    // The shadow oracle must observe every reference in lockstep, so a
-    // cross-checked cache takes the scalar path (access drives the oracle
-    // and throws Divergence with the exact offending reference).
+  const BatchIndex::RefTally &Tally = Index.tally();
+  const bool AllCollector = Tally.Loads[0] + Tally.Stores[0] == 0;
+  const bool AllMutator = Tally.Loads[1] + Tally.Stores[1] == 0;
+  if (C.crossCheckEnabled() || (!AllCollector && !AllMutator)) {
+    // The reference path, one Cache::access per reference. A shadow
+    // oracle must observe every reference in lockstep (access drives it
+    // and throws Divergence with the exact offending reference). A batch
+    // holding both phases cannot occur in a CacheBank, which flushes at
+    // every GC boundary, where the phase flips; it is simulated exactly
+    // rather than fast.
     for (size_t I = 0; I != Batch.size(); ++I)
       (void)C.access(Batch.get(I));
     return;
   }
   const BatchIndex::BlockColumns &Cols =
       Index.columnsFor(C.config().BlockBytes);
-  const BatchIndex::RefTally &Tally = Index.tally();
-  const bool DirectMapped = C.config().Ways == 1;
-  const bool PerBlock = C.config().TrackPerBlockStats;
-  // CacheBank flushes at GC phase boundaries, so nearly every batch is
-  // single-phase: pick the specialization that keeps its event counters
-  // in registers and resolves fetch-on-write once per batch.
-  const bool AllCollector = Tally.Loads[0] + Tally.Stores[0] == 0;
-  const bool AllMutator = Tally.Loads[1] + Tally.Stores[1] == 0;
-  const bool Mixed = !AllCollector && !AllMutator;
   const unsigned BatchPhase = AllCollector ? 1 : 0;
-  if (DirectMapped) {
-    if (PerBlock)
-      Mixed ? runLoop<true, true, true>(C, Batch, Cols, Tally, BatchPhase)
-            : runLoop<true, true, false>(C, Batch, Cols, Tally, BatchPhase);
+  if (C.config().Ways == 1) {
+    if (C.config().TrackPerBlockStats)
+      runLoop<true, true>(C, Batch, Cols, Tally, BatchPhase);
     else
-      Mixed ? runLoop<true, false, true>(C, Batch, Cols, Tally, BatchPhase)
-            : runLoop<true, false, false>(C, Batch, Cols, Tally, BatchPhase);
+      runLoop<true, false>(C, Batch, Cols, Tally, BatchPhase);
   } else {
-    if (PerBlock)
-      Mixed ? runLoop<false, true, true>(C, Batch, Cols, Tally, BatchPhase)
-            : runLoop<false, true, false>(C, Batch, Cols, Tally, BatchPhase);
+    if (C.config().TrackPerBlockStats)
+      runLoop<false, true>(C, Batch, Cols, Tally, BatchPhase);
     else
-      Mixed ? runLoop<false, false, true>(C, Batch, Cols, Tally, BatchPhase)
-            : runLoop<false, false, false>(C, Batch, Cols, Tally, BatchPhase);
+      runLoop<false, false>(C, Batch, Cols, Tally, BatchPhase);
   }
 }
 
@@ -629,40 +486,6 @@ void BatchKernel::runLoopPair(Cache &A, Cache &B, const RefColumns &Batch,
   // solo loop; keep the same distance — extra depth is harmless.
   constexpr size_t PrefetchRuns = 16;
 
-  // The solo loop's first-reference transition, parameterized over one
-  // cache's line, flags, and counters; inlined twice per run below.
-  const auto FirstRef = [FullMask](Line *L, uint32_t Tag, uint64_t WB,
-                                   bool IsStore, bool TrackDirty, bool FoW,
-                                   uint64_t &Fetch, uint64_t &NoFetch,
-                                   uint64_t &Wb) {
-    if (L->ValidMask != 0 && L->Tag == Tag) {
-      if (IsStore) {
-        L->ValidMask |= WB;
-        if (TrackDirty)
-          L->Dirty = true;
-      } else if (!(L->ValidMask & WB)) {
-        L->ValidMask = FullMask;
-        ++Fetch;
-      }
-    } else {
-      if (L->ValidMask != 0 && L->Dirty)
-        ++Wb;
-      L->Tag = Tag;
-      L->Dirty = false;
-      if (IsStore && !FoW) {
-        L->ValidMask = WB;
-        if (TrackDirty)
-          L->Dirty = true;
-        ++NoFetch;
-      } else {
-        L->ValidMask = FullMask;
-        if (IsStore && TrackDirty)
-          L->Dirty = true;
-        ++Fetch;
-      }
-    }
-  };
-
   using BC = BatchIndex::BlockColumns;
   size_t I = 0;
   for (size_t R = 0; R != NumRuns; ++R) {
@@ -678,13 +501,16 @@ void BatchKernel::runLoopPair(Cache &A, Cache &B, const RefColumns &Batch,
     const uint32_t BI = RunBlockIdx[R];
     Line *LA = LinesA + (BI & SetMaskA);
     Line *LB = LinesB + (BI & SetMaskB);
+    const uint32_t TagA = BI >> SetShiftA, TagB = BI >> SetShiftB;
     const uint64_t WB = FirstWordBit[R];
     const bool IsStore = (Packed & BC::RunFirstIsStore) != 0;
     ++Clock;
-    FirstRef(LA, BI >> SetShiftA, WB, IsStore, TrackDirtyA, FoWA, FetchA,
-             NoFetchA, WbA);
-    FirstRef(LB, BI >> SetShiftB, WB, IsStore, TrackDirtyB, FoWB, FetchB,
-             NoFetchB, WbB);
+    firstRef<false>(LA, LA->ValidMask != 0 && LA->Tag == TagA, TagA, WB,
+                    IsStore, TrackDirtyA, FoWA, FullMask, FetchA, NoFetchA,
+                    WbA, nullptr, nullptr, 0);
+    firstRef<false>(LB, LB->ValidMask != 0 && LB->Tag == TagB, TagB, WB,
+                    IsStore, TrackDirtyB, FoWB, FullMask, FetchB, NoFetchB,
+                    WbB, nullptr, nullptr, 0);
     ++I;
 
     if (const uint32_t Rest = Len - 1) {

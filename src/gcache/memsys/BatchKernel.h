@@ -9,14 +9,14 @@
 /// path dispatches one Ref at a time into every cache (Cache::access per
 /// reference per configuration), the batch kernel takes a whole columnar
 /// batch (trace/Event.h RefColumns) and simulates it against one cache in
-/// a tight, branch-light loop: policy flags are hoisted out of the loop,
-/// counters accumulate in locals, the direct-mapped case skips the way
-/// scan entirely, and the per-reference address decomposition — block
-/// index and word valid-bit — is precomputed once per (batch, block size)
-/// in a BatchIndex and shared by every cache configuration with that
-/// block size. One trace read therefore feeds the whole paper grid with
-/// the address arithmetic done once per block-size column instead of once
-/// per cache.
+/// one run loop: policy flags are hoisted out of the loop, counters
+/// accumulate in locals, the direct-mapped case runs the same set scan
+/// with the way count fixed at one (a single line probe), and the
+/// per-reference address decomposition — block index and word valid-bit
+/// — is precomputed once per (batch, block size) in a BatchIndex and
+/// shared by every cache configuration with that block size. One trace
+/// read therefore feeds the whole paper grid with the address arithmetic
+/// done once per block-size column instead of once per cache.
 ///
 /// Correctness contract: BatchKernel::run is *bit-identical* to feeding
 /// the same references through Cache::access one at a time — same
@@ -28,10 +28,14 @@
 /// differential proof against both the scalar path and OracleCache across
 /// the write-policy x associativity x block-size matrix.
 ///
-/// With a shadow oracle attached (Cache::enableCrossCheck), the kernel
-/// falls back to the per-reference scalar path for that cache so the
+/// The loop handles single-phase batches only. Two kinds of batch take
+/// the per-reference scalar path (Cache::access) instead, which is the
+/// reference model and so bit-identical by definition: a batch against a
+/// cache with a shadow oracle attached (Cache::enableCrossCheck), so the
 /// oracle observes every reference in lockstep — --crosscheck trades the
-/// batch speedup for validation, by design.
+/// batch speedup for validation, by design — and a batch holding both
+/// phases. A CacheBank never builds the latter: it flushes at every GC
+/// boundary, which is where every collector flips the phase.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -70,12 +74,10 @@ public:
     static constexpr uint32_t RunHasTailLoad = 1u << 31;
     /// Bit 30: the run's first reference is a store.
     static constexpr uint32_t RunFirstIsStore = 1u << 30;
-    /// Bit 29: the run's first reference is a collector reference.
-    static constexpr uint32_t RunFirstCollector = 1u << 29;
-    /// Low 29 bits: the run length. Bounds the batch size the kernel
-    /// accepts (BatchKernel::validate rejects larger batches); every
-    /// producer in the tree caps batches far below this.
-    static constexpr uint32_t RunLenMask = RunFirstCollector - 1;
+    /// Low 29 bits: the run length (bit 29 is spare). Bounds the batch
+    /// size the kernel accepts (BatchKernel::validate rejects larger
+    /// batches); every producer in the tree caps batches far below this.
+    static constexpr uint32_t RunLenMask = (1u << 29) - 1;
 
     uint32_t BlockBytes = 0;
     /// Number of runs in this batch; only the first NumRuns entries of
@@ -138,9 +140,10 @@ public:
   /// Simulates every reference of \p Batch against \p C, in order,
   /// bit-identically to per-reference Cache::access. \p Index must have
   /// been reset() to \p Batch (it caches the shared address columns).
-  /// With a shadow oracle attached to \p C this falls back to the scalar
-  /// path, so a hit-class divergence throws StatusError(Divergence) from
-  /// inside the batch exactly as it would per-reference.
+  /// A mixed-phase batch, or any batch when a shadow oracle is attached to
+  /// \p C, takes the scalar path; with the oracle, a hit-class divergence
+  /// throws StatusError(Divergence) from inside the batch exactly as it
+  /// would per-reference.
   static void run(Cache &C, const RefColumns &Batch, BatchIndex &Index);
 
   /// True when \p C can take the paired loop of runPair: direct-mapped,
@@ -166,13 +169,11 @@ public:
   static Status validate(const RefColumns &Batch);
 
 private:
-  /// \p Mixed selects the phase handling: a batch whose tally shows
-  /// references of both phases pays for per-reference phase-indexed
-  /// counters; a single-phase batch (the overwhelmingly common case —
-  /// CacheBank flushes at GC boundaries) keeps its event counters in
-  /// scalar locals and folds them into Counts[BatchPhase] once at the
-  /// end. BatchPhase is ignored when Mixed.
-  template <bool DirectMapped, bool PerBlock, bool Mixed>
+  /// The run loop over a batch whose references all belong to
+  /// \p BatchPhase (0 mutator, 1 collector). \p DirectMapped fixes the
+  /// way count at one so the set scan folds to a single probe;
+  /// \p PerBlock compiles the per-block statistics in.
+  template <bool DirectMapped, bool PerBlock>
   static void runLoop(Cache &C, const RefColumns &Batch,
                       const BatchIndex::BlockColumns &Cols,
                       const BatchIndex::RefTally &Tally, unsigned BatchPhase);

@@ -467,7 +467,7 @@ TracePhaseStats gcache::collectTracePhaseStats(TraceStream &S) {
       if (Cur != GcPhase::Idle)
         ++St.RefsByPhase[static_cast<unsigned>(Cur)];
       else if (Rec.R.ExecPhase == Phase::Collector)
-        ++St.UnattributedCollectorRefs; // pre-v3 trace: no markers
+        ++St.UnattributedCollectorRefs; // no phase marker yet
       else
         ++St.MutatorRefs;
       break;

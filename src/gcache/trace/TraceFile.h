@@ -223,8 +223,8 @@ TraceBatchStats collectTraceBatchStats(TraceStream &S, size_t BatchRefs);
 
 /// Per-trace GC phase statistics (trace_inspect --gc-phases): how many
 /// cycles and bounded steps the trace's collections took, and how its
-/// references distribute over the stepped phases. Pre-v3 traces have no
-/// markers, so their collector references show up as unattributed.
+/// references distribute over the stepped phases. Collector references
+/// outside any phase marker show up as unattributed.
 struct TracePhaseStats {
   uint64_t Cycles = 0;     ///< GcBegin records.
   uint64_t PhaseMarks = 0; ///< GC phase markers (including Begin).
@@ -234,7 +234,7 @@ struct TracePhaseStats {
   uint64_t MarksByPhase[NumGcPhases] = {};
   uint64_t RefsByPhase[NumGcPhases] = {}; ///< Refs under each phase marker.
   uint64_t MutatorRefs = 0;               ///< Refs outside any cycle.
-  /// Collector refs in a trace without phase markers (pre-v3 file).
+  /// Collector refs outside any phase marker.
   uint64_t UnattributedCollectorRefs = 0;
 
   double meanSteps() const {

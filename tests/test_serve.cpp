@@ -1266,7 +1266,13 @@ TEST(ServeDaemon, QueuedJobAtSigtermIsListedWithoutACheckpoint) {
   D.term();
 
   Running.recv(60000);
-  Queued.recv(60000);
+  // The queued job never ran, and its reply says so.
+  Frame QF = Queued.recv(60000);
+  EXPECT_EQ(QF.Type, FrameType::Reply);
+  std::string Reply = QF.payloadText();
+  EXPECT_EQ(jsonFindString(Reply, "client"), "queued") << Reply;
+  EXPECT_EQ(jsonFindString(Reply, "outcome"), "cancelled") << Reply;
+  EXPECT_EQ(jsonFindInt(Reply, "records", -1), 0) << Reply;
   EXPECT_EQ(D.waitExit(), ServeExitDrained);
 
   M = D.manifest();
@@ -1287,6 +1293,85 @@ TEST(ServeDaemon, QueuedJobAtSigtermIsListedWithoutACheckpoint) {
   }
   EXPECT_EQ(Entries, 2) << M;
 }
+
+#ifdef __linux__
+/// Every `"pid":<n>` in a status manifest: the worker pids.
+std::vector<int> workerPids(const std::string &Status) {
+  std::vector<int> Pids;
+  const std::string Needle = "\"pid\":";
+  for (size_t At = Status.find(Needle); At != std::string::npos;
+       At = Status.find(Needle, At + Needle.size()))
+    Pids.push_back(std::atoi(Status.c_str() + At + Needle.size()));
+  return Pids;
+}
+
+/// An empty string when /proc/<Pid>/fd holds exactly stdio and two pipes
+/// (the worker's job and result ends); otherwise the listing.
+std::string unexpectedFds(int Pid) {
+  std::string Dir = "/proc/" + std::to_string(Pid) + "/fd";
+  DIR *D = opendir(Dir.c_str());
+  if (!D)
+    return "cannot open " + Dir;
+  std::string Listing;
+  int Pipes = 0, Other = 0;
+  while (dirent *E = readdir(D)) {
+    if (E->d_name[0] == '.')
+      continue;
+    int Fd = std::atoi(E->d_name);
+    char Target[256] = {};
+    ssize_t N = readlink((Dir + "/" + E->d_name).c_str(), Target,
+                         sizeof(Target) - 1);
+    std::string Link = N > 0 ? std::string(Target, N) : "?";
+    Listing += " " + std::string(E->d_name) + "->" + Link;
+    if (Fd <= 2)
+      continue;
+    if (Link.rfind("pipe:", 0) == 0)
+      ++Pipes;
+    else
+      ++Other;
+  }
+  closedir(D);
+  return Pipes == 2 && Other == 0 ? "" : "pid " + std::to_string(Pid) + ":" +
+                                             Listing;
+}
+
+/// Polls until every worker in the status manifest holds only its own
+/// fds (a fresh worker closes the inherited ones right after the fork).
+void expectWorkersHoldOnlyTheirOwnFds(const std::string &Sock,
+                                      size_t Workers) {
+  std::string Bad;
+  for (int I = 0; I < 500; ++I) {
+    std::vector<int> Pids = workerPids(fetchStatus(Sock));
+    ASSERT_EQ(Pids.size(), Workers);
+    Bad.clear();
+    for (int Pid : Pids)
+      Bad += unexpectedFds(Pid);
+    if (Bad.empty())
+      return;
+    usleep(10000);
+  }
+  ADD_FAILURE() << Bad;
+}
+
+TEST(ServeDaemon, WorkersHoldOnlyStdioAndTheirOwnPipes) {
+  GovernanceReset G;
+  // worker-kill respawns a worker while the victim's client socket is
+  // live in the daemon, so the respawned worker is forked holding it.
+  Daemon D = startDaemon(
+      [](ServeOptions &O) {
+        O.Workers = 3;
+        O.CheckpointEveryRecords = 500;
+      },
+      "worker-kill:1");
+  expectWorkersHoldOnlyTheirOwnFds(D.Sock, 3);
+
+  Stream S = makeStream(8000, 31);
+  Outcome O = runSession(D.Sock, S, "victim", SmallConfig, 30000);
+  ASSERT_TRUE(O.Ok) << O.Code << ": " << O.Message;
+  ASSERT_GE(jsonFindInt(fetchStatus(D.Sock), "worker_deaths"), 1);
+  expectWorkersHoldOnlyTheirOwnFds(D.Sock, 3);
+}
+#endif
 
 TEST(ServeDaemon, StatusEndpointAnswersBeforeHello) {
   GovernanceReset G;

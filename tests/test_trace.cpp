@@ -560,7 +560,7 @@ TEST(TraceFileV3, PhaseStatsSummarizeSyntheticTrace) {
   W.onGcPhase(GcPhase::Finish);
   W.onGcEnd();
   W.onRef({0x104, AccessKind::Store, Phase::Mutator});
-  // Cycle 2: a collector ref before any marker (the pre-v3 shape) and a
+  // Cycle 2: a collector ref before any phase marker and a
   // single bounded step.
   W.onGcBegin();
   W.onRef({0x300, AccessKind::Load, Phase::Collector});
