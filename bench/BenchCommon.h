@@ -125,6 +125,16 @@ struct BenchArgs {
   Options Opts;
 };
 
+/// Unwraps a strictly parsed flag value. A malformed value is as fatal as
+/// an unknown flag: diagnostic on stderr, exit(2).
+template <typename T> T flagOrExit(Expected<T> Value) {
+  if (!Value.ok()) {
+    std::fprintf(stderr, "error: %s\n", Value.status().message().c_str());
+    std::exit(2);
+  }
+  return *Value;
+}
+
 /// Parses and validates the shared bench flags plus any \p ExtraFlags the
 /// binary declares (e.g. "seeds" for ext2_layout). Unknown flags and
 /// malformed values are fatal: diagnostic on stderr, exit(2). Also arms
@@ -155,17 +165,9 @@ inline BenchArgs parseBenchArgs(int Argc, char **Argv,
     std::exit(2);
   }
 
-  // A malformed value is as fatal as an unknown flag.
-  auto OrExit = [](auto Value) {
-    if (!Value.ok()) {
-      std::fprintf(stderr, "error: %s\n", Value.status().message().c_str());
-      std::exit(2);
-    }
-    return *Value;
-  };
-  A.Scale = OrExit(A.Opts.getStrictDouble("scale", 0.3));
-  A.Threads = OrExit(A.Opts.getStrictUnsigned("threads", 0));
-  A.BatchRefs = OrExit(A.Opts.getStrictUnsigned("batch", 0));
+  A.Scale = flagOrExit(A.Opts.getStrictDouble("scale", 0.3));
+  A.Threads = flagOrExit(A.Opts.getStrictUnsigned("threads", 0));
+  A.BatchRefs = flagOrExit(A.Opts.getStrictUnsigned("batch", 0));
 
   A.Csv = A.Opts.getBool("csv", false);
 
@@ -189,7 +191,7 @@ inline BenchArgs parseBenchArgs(int Argc, char **Argv,
 
   // A bare --crosscheck parses as "1" (Options convention): compare every
   // reference. --crosscheck=N samples the comparison every N refs.
-  A.CrossCheckEvery = OrExit(A.Opts.getStrictUnsigned("crosscheck", 0));
+  A.CrossCheckEvery = flagOrExit(A.Opts.getStrictUnsigned("crosscheck", 0));
   A.Audit = A.Opts.getBool("audit", false);
 
   // --fault falls back to GCACHE_FAULT via the Options env convention;
@@ -202,16 +204,17 @@ inline BenchArgs parseBenchArgs(int Argc, char **Argv,
 
   // Checkpointing and supervision (core/Checkpoint.h, core/Supervisor.h).
   A.CheckpointDir = A.Opts.get("checkpoint-dir", "");
-  A.CheckpointEvery = OrExit(A.Opts.getStrictUnsigned("checkpoint-every", 0));
-  A.Retries = OrExit(A.Opts.getStrictUnsigned("retries", 2));
-  A.TimeoutSec = OrExit(A.Opts.getStrictUnsigned("timeout", 0));
-  A.GraceSec = OrExit(A.Opts.getStrictUnsigned("grace", 10));
+  A.CheckpointEvery =
+      flagOrExit(A.Opts.getStrictUnsigned("checkpoint-every", 0));
+  A.Retries = flagOrExit(A.Opts.getStrictUnsigned("retries", 2));
+  A.TimeoutSec = flagOrExit(A.Opts.getStrictUnsigned("timeout", 0));
+  A.GraceSec = flagOrExit(A.Opts.getStrictUnsigned("grace", 10));
 
   // Resource budgets (support/Budget.h): deadline, reference budget,
   // memory budget. Configured before any supervise fork so children
   // inherit the budget *and its start time* — a supervised restart must
   // not extend the deadline.
-  A.Budget = OrExit(parseBudgetFlags(A.Opts));
+  A.Budget = flagOrExit(parseBudgetFlags(A.Opts));
   processBudget().configure(A.Budget);
 
   // Graceful shutdown: first SIGTERM/SIGINT requests a drain, the second

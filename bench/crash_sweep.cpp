@@ -6,7 +6,9 @@
 // of the checkpointed replay and proves each crash recovers — stale-tmp
 // sweep, A/B slot fallback, resume — to the bit-identical final state.
 //
-// Flags (besides the shared --scale/--threads/--crosscheck/--audit):
+// Flags (besides the shared --threads/--crosscheck/--audit):
+//   --scale=<s>      workload scale of the recorded trace (default 0.05,
+//                    not the bench-wide 0.3)
 //   --gc=<kind>      cheney | generational | marksweep | all (default all)
 //   --max-cuts=<n>   cap tested crash points per collector, evenly spread
 //                    over the full operation range (0 = every operation;
@@ -48,19 +50,13 @@ int main(int Argc, char **Argv) {
                                {"gc", "max-cuts", "every-refs", "heap-bytes"});
 
   std::string GcName = A.Opts.get("gc", "all");
-  Expected<unsigned> MaxCuts = A.Opts.getStrictUnsigned("max-cuts", 0);
-  Expected<unsigned> EveryRefs = A.Opts.getStrictUnsigned("every-refs", 5000);
-  Expected<unsigned> HeapBytes =
-      A.Opts.getStrictUnsigned("heap-bytes", 64 << 10);
-  if (!MaxCuts.ok() || !EveryRefs.ok() || !HeapBytes.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 (!MaxCuts.ok()   ? MaxCuts.status()
-                  : !EveryRefs.ok() ? EveryRefs.status()
-                                    : HeapBytes.status())
-                     .message()
-                     .c_str());
-    return 2;
-  }
+  // The bench-wide default scale (0.3) is too big for a sweep.
+  double Scale = flagOrExit(A.Opts.getStrictDouble("scale", 0.05));
+  unsigned MaxCuts = flagOrExit(A.Opts.getStrictUnsigned("max-cuts", 0));
+  unsigned EveryRefs =
+      flagOrExit(A.Opts.getStrictUnsigned("every-refs", 5000));
+  unsigned HeapBytes =
+      flagOrExit(A.Opts.getStrictUnsigned("heap-bytes", 64 << 10));
 
   std::vector<Kind> Run;
   for (const Kind &K : Kinds)
@@ -81,13 +77,13 @@ int main(int Argc, char **Argv) {
   for (const Kind &K : Run) {
     CrashSweepOptions O;
     O.Gc = K.Gc;
-    O.Scale = A.Scale == 0.3 ? 0.05 : A.Scale; // Bench default is too big.
-    O.SemispaceBytes = *HeapBytes;
+    O.Scale = Scale;
+    O.SemispaceBytes = HeapBytes;
     O.Threads = A.Threads;
-    O.EveryRefs = *EveryRefs;
+    O.EveryRefs = EveryRefs;
     O.CrosscheckEvery = A.CrossCheckEvery;
     O.Audit = A.Audit;
-    O.MaxCuts = *MaxCuts;
+    O.MaxCuts = MaxCuts;
     Expected<CrashSweepResult> R = runCrashSweep(O);
     if (!R) {
       std::printf("%-14s FAILED: %s\n", K.Name,

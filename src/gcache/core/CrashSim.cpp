@@ -3,6 +3,7 @@
 #include "gcache/core/CrashSim.h"
 
 #include "gcache/core/Checkpoint.h"
+#include "gcache/core/CutSweep.h"
 #include "gcache/core/Experiment.h"
 #include "gcache/memsys/CacheBank.h"
 #include "gcache/support/Snapshot.h"
@@ -168,65 +169,46 @@ gcache::runCrashSweep(const CrashSweepOptions &Opts) {
   FaultVfs::Image Base = Fv.durableImage();
 
   // Reference run: fixes the digest and counts the durable-state
-  // transitions the cut sweep will iterate.
+  // transitions the cut sweep iterates.
   Fv.restoreImage(Base);
   Expected<RunOutput> Clean = runOnce(Opts);
   if (!Clean)
     return Clean.status();
   Result.ReferenceDigest = Clean->Digest;
   Result.MutatingOps = Fv.mutatingOps();
-  if (Result.MutatingOps == 0)
-    return Status::failf(StatusCode::InvalidArgument,
-                         "reference replay performed no durable-state "
-                         "transitions; nothing to sweep");
 
-  // Which operation indices to cut at: all of them, or MaxCuts evenly
-  // spread (endpoints included) when the caller capped the sweep.
-  const uint64_t N = Result.MutatingOps;
-  const uint64_t Cuts = Opts.MaxCuts && Opts.MaxCuts < N ? Opts.MaxCuts : N;
-  for (uint64_t I = 0; I != Cuts; ++I) {
-    uint64_t K = Cuts == N ? I + 1 : 1 + (I * (N - 1)) / (Cuts - 1);
-
-    // Crash: run with the power cut armed at operation K. The run must
-    // fail (K is within the reference run's operation count); a success
-    // can only mean this run legitimately needed fewer operations, which
-    // still must reproduce the reference digest.
+  // Crash: run with the power cut armed at operation K. A run can outlive
+  // its cut only by needing fewer operations, and must then still
+  // reproduce the reference digest.
+  auto RunToCut = [&](uint64_t K) -> Expected<std::optional<uint32_t>> {
     Fv.restoreImage(Base);
     Fv.armPowerCut(K);
     Expected<RunOutput> Crashed = runOnce(Opts);
-    ++Result.CutsTested;
-    if (Crashed) {
-      if (Crashed->Digest != Result.ReferenceDigest)
-        return Status::failf(StatusCode::Divergence,
-                             "uncut run at op %llu diverged: digest %u, "
-                             "reference %u",
-                             static_cast<unsigned long long>(K),
-                             Crashed->Digest, Result.ReferenceDigest);
-      continue;
-    }
-    ++Result.CutsFired;
-
-    // Reboot: un-synced bytes are gone; then the production startup
-    // sequence — sweep stale tmp files, replay with resume.
+    if (Crashed)
+      return std::optional<uint32_t>(Crashed->Digest);
+    if (Fv.powerLost())
+      return std::optional<uint32_t>();
+    return Crashed.status();
+  };
+  // Reboot: un-synced bytes are gone; then the production startup
+  // sequence — sweep stale tmp files, replay with resume.
+  auto Recover = [&](uint64_t) -> Expected<uint32_t> {
     Fv.reboot();
     Result.TmpSwept += sweepStaleTmpFiles(Dir);
     Expected<RunOutput> Recovered = runOnce(Opts);
     if (!Recovered)
-      return Status::failf(StatusCode::IoError,
-                           "power cut at op %llu of %llu is unrecoverable: %s",
-                           static_cast<unsigned long long>(K),
-                           static_cast<unsigned long long>(N),
-                           Recovered.status().message().c_str());
-    if (Recovered->Digest != Result.ReferenceDigest)
-      return Status::failf(StatusCode::Divergence,
-                           "power cut at op %llu of %llu recovered to the "
-                           "wrong state: digest %u, reference %u",
-                           static_cast<unsigned long long>(K),
-                           static_cast<unsigned long long>(N),
-                           Recovered->Digest, Result.ReferenceDigest);
+      return Recovered.status();
     Result.Resumes += Recovered->Resumed;
     Result.SlotFallbacks += Recovered->FellBack;
     Result.SlotScrubs += Recovered->Scrubbed;
-  }
+    return Recovered->Digest;
+  };
+  Expected<CutSweepCounts> Counts =
+      runCutSweep(Result.ReferenceDigest, Result.MutatingOps, Opts.MaxCuts,
+                  /*OnlyAt=*/0, RunToCut, Recover);
+  if (!Counts)
+    return Counts.status();
+  Result.CutsTested = Counts->Tested;
+  Result.CutsFired = Counts->Fired;
   return Result;
 }

@@ -14,8 +14,10 @@
 /// The sweep runs entirely inside a FaultVfs (support/Vfs.h): it records
 /// a real collector trace into the in-memory filesystem, replays it once
 /// uninterrupted to fix the reference digest and count the filesystem's
-/// mutating operations N, then for each k in 1..N re-runs the replay from
-/// the same durable base image with the power cut armed at operation k.
+/// mutating operations N, then hands the cut loop to the shared sweep
+/// (core/CutSweep.h), which for each chosen k in 1..N re-runs the replay
+/// from the same durable base image with the power cut armed at operation
+/// k and recovers it.
 /// The cut drops every byte not yet fsynced — exactly the loss a kernel
 /// page cache suffers — so any missing-fsync or rename-before-sync bug in
 /// the checkpoint protocol surfaces as a digest divergence or an
@@ -55,8 +57,9 @@ struct CrashSweepOptions {
   uint64_t CrosscheckEvery = 0; ///< Shadow-oracle cadence (0 = off).
   bool Audit = true;            ///< Conservation-law auditor on.
   /// Cap on tested crash points: 0 sweeps every mutating operation; a
-  /// positive value tests that many points evenly spread over 1..N (CI
-  /// smoke mode). The cap is reported, never silent.
+  /// positive value tests that many points evenly spread over 1..N, both
+  /// endpoints included (cutPoints in core/CutSweep.h; CI smoke mode).
+  /// The cap is reported, never silent.
   uint64_t MaxCuts = 0;
   /// The recorded trace is trimmed to its longest prefix of at most this
   /// many records that ends exactly at a GC boundary — the sweep's cost is
@@ -86,8 +89,8 @@ struct CrashSweepResult {
 /// Runs the sweep. Installs a FaultVfs as the process Vfs for the call's
 /// duration (restored on return), so it must not run concurrently with
 /// other Vfs users in the same process. Returns the first unrecovered
-/// crash point as an error (message names the operation index), or the
-/// totals above.
+/// crash point as an error (its message names "cut k of N"), a run with
+/// no durable-state transitions as InvalidArgument, or the totals above.
 Expected<CrashSweepResult> runCrashSweep(const CrashSweepOptions &Opts);
 
 } // namespace gcache

@@ -2,16 +2,21 @@
 
 #include "gcache/core/GcTorture.h"
 
+#include "gcache/core/CutSweep.h"
 #include "gcache/gc/CheneyCollector.h"
 #include "gcache/gc/GenerationalCollector.h"
 #include "gcache/gc/MarkSweepCollector.h"
+#include "gcache/support/ChildProcess.h"
 #include "gcache/support/FaultInjector.h"
 #include "gcache/support/Random.h"
 #include "gcache/support/Snapshot.h"
 
 #include <cassert>
+#include <csignal>
 #include <cstdio>
-#include <unordered_set>
+#include <optional>
+#include <sys/wait.h>
+#include <unistd.h>
 
 using namespace gcache;
 
@@ -379,4 +384,94 @@ GcTortureDigest gcache::runGcTorture(const GcTortureConfig &Config) {
   GcTortureRun R(Config);
   R.run();
   return R.digest();
+}
+
+/// Runs \p Cutting with the kill armed at boundary \p K. Arming resets the
+/// site counters, so the run's Kth boundary is the one. The kill must
+/// fire: a run that outlives its boundary is a harness failure.
+static Expected<std::optional<GcTortureDigest>>
+killAt(const GcTortureConfig &Cutting, GcTortureKill Kill, uint64_t K) {
+  if (Kill == GcTortureKill::SigKill) {
+    ChildProcess Child;
+    if (Status S = Child.spawn(); !S.ok())
+      return S;
+    if (Child.inChild()) {
+      faultInjector().arm({FaultSite::GcStepKill, K});
+      try {
+        runGcTorture(Cutting); // SIGKILL fires inside a stepCycle boundary.
+      } catch (const StatusError &) {
+        _exit(41); // An abort/certification throw is not the promised kill.
+      }
+      _exit(42); // Ran to completion: the boundary never fired.
+    }
+    int WStatus = Child.wait();
+    if (!WIFSIGNALED(WStatus) || WTERMSIG(WStatus) != SIGKILL)
+      return Status::failf(StatusCode::WorkerFailure,
+                           "child did not die by SIGKILL (status %d)",
+                           WStatus);
+    return std::optional<GcTortureDigest>();
+  }
+  // In process: gc-step-abort throws Aborted once the boundary's cut is
+  // on disk.
+  faultInjector().arm({FaultSite::GcStepAbort, K});
+  try {
+    runGcTorture(Cutting);
+  } catch (const StatusError &E) {
+    if (E.status().code() != StatusCode::Aborted)
+      return E.status();
+    return std::optional<GcTortureDigest>();
+  }
+  return Status::fail(StatusCode::GcError, "the kill boundary never fired");
+}
+
+Expected<GcTortureSweepResult>
+gcache::runGcTortureSweep(const GcTortureConfig &Config, GcTortureKill Kill,
+                          uint64_t OnlyAt) {
+  struct Disarm {
+    ~Disarm() { faultInjector().disarm(); }
+  } Guard;
+  if (Config.SnapshotPath.empty())
+    return Status::fail(StatusCode::InvalidArgument,
+                        "a kill-and-resume sweep needs a snapshot path");
+  GcTortureConfig Plain = Config; // No cuts: the reference and the resumes.
+  Plain.SnapshotPath.clear();
+  GcTortureSweepResult Result;
+  // The reference run, then a probe that cuts at every boundary: the cuts
+  // must be invisible to the digest, and its boundaries are the cut points.
+  const char *Stage = "reference run";
+  try {
+    Result.Reference = runGcTorture(Plain);
+    Stage = "probe run";
+    GcTortureRun Probe(Config);
+    Probe.run();
+    GcTortureDigest D = Probe.digest();
+    Result.Boundaries = Probe.boundariesSeen();
+    if (D != Result.Reference)
+      return Status::fail(StatusCode::Divergence,
+                          "snapshot cuts changed the digest\n  want " +
+                              Result.Reference.toString() + "\n  got  " +
+                              D.toString());
+  } catch (const StatusError &E) {
+    return Status::fail(E.status().code(),
+                        std::string(Stage) + ": " + E.status().message());
+  }
+
+  auto Recover = [&](uint64_t) -> Expected<GcTortureDigest> {
+    try {
+      GcTortureRun Resumed(Plain);
+      if (Status S = Resumed.resume(Config.SnapshotPath); !S.ok())
+        return S;
+      return Resumed.digest();
+    } catch (const StatusError &E) {
+      return E.status();
+    }
+  };
+  Expected<CutSweepCounts> Counts = runCutSweep(
+      Result.Reference, Result.Boundaries, /*MaxCuts=*/0, OnlyAt,
+      [&](uint64_t K) { return killAt(Config, Kill, K); }, Recover);
+  if (!Counts)
+    return Counts.status();
+  Result.CutsTested = Counts->Tested;
+  Result.CutsFired = Counts->Fired;
+  return Result;
 }

@@ -14,6 +14,9 @@
 /// boundary and resumed from that snapshot finishes with a digest
 /// bit-identical to an uninterrupted run's, under any collector, any
 /// thread count, with cross-checking and auditing enabled.
+/// runGcTortureSweep is that proof: it kills a run at every boundary,
+/// in process or by a real SIGKILL, through the shared cut-and-resume
+/// loop (core/CutSweep.h), and bench/gc_torture only parses its flags.
 ///
 /// The mutator is not the Scheme VM (the VM holds host-side state that is
 /// not snapshot-serializable); it is a synthetic allocation/mutation/drop
@@ -100,10 +103,8 @@ public:
   /// digests the run. Call after run()/resume() returns normally.
   GcTortureDigest digest();
 
-  Collector &collector() { return *Coll; }
-  CacheBank &bank() { return Bank; }
   /// Step boundaries observed so far (over all cycles, kills included) —
-  /// the sweep driver's iteration space.
+  /// the sweep's cut points.
   uint64_t boundariesSeen() const { return BoundariesSeen; }
 
 private:
@@ -132,6 +133,29 @@ private:
 
 /// Convenience: one uninterrupted run of \p Config, returning its digest.
 GcTortureDigest runGcTorture(const GcTortureConfig &Config);
+
+/// How a sweep kills the run at its cut boundary.
+enum class GcTortureKill : uint8_t {
+  Abort,   ///< In-process: the gc-step-abort site throws Aborted.
+  SigKill, ///< A forked child dies by SIGKILL from the gc-step-kill site.
+};
+
+struct GcTortureSweepResult {
+  GcTortureDigest Reference; ///< The uninterrupted run's digest.
+  uint64_t Boundaries = 0;   ///< The run's step boundaries: its cut points.
+  uint64_t CutsTested = 0, CutsFired = 0;
+};
+
+/// The kill-at-every-step proof (loop: core/CutSweep.h). Runs \p Config
+/// uninterrupted for the reference digest, then cutting a snapshot to
+/// Config.SnapshotPath at every step boundary (the cuts must not move the
+/// digest). Then it kills a run by \p Kill at every boundary, or at
+/// \p OnlyAt alone, and resumes a fresh world from the cut, which must
+/// finish at the reference. No SnapshotPath, no boundaries or an OnlyAt
+/// beyond them is InvalidArgument. Leaves faultInjector() disarmed.
+Expected<GcTortureSweepResult> runGcTortureSweep(const GcTortureConfig &Config,
+                                                 GcTortureKill Kill,
+                                                 uint64_t OnlyAt = 0);
 
 } // namespace gcache
 

@@ -8,7 +8,7 @@
 /// The one fork-and-report primitive: a forked child joined to its parent
 /// by a pipe each way, carrying '\n'-terminated lines. The supervised
 /// runner (core/Supervisor.h), the trace service's worker pool
-/// (core/WorkerPool.h) and gc_torture's SIGKILL sweep all fork, reap and
+/// (core/WorkerPool.h) and GcTorture's SIGKILL sweep all fork, reap and
 /// read their children through it. The parent reads nonblocking, and a
 /// reap first passes on what is still in the pipe, so a line written just
 /// before a crash is never lost.

@@ -43,52 +43,21 @@ protected:
     return std::string(::testing::TempDir()) + "/" + Name + ".snap";
   }
 
-  /// Kills a fresh run of \p C at boundary \p K via the gc-step-abort
-  /// site (cutting at every boundary), then resumes a second fresh world
-  /// from the cut and returns its digest. Arming resets the site
-  /// counters, so the run's Kth boundary fires.
-  static GcTortureDigest killAndResume(const GcTortureConfig &C, uint64_t K,
-                                       const std::string &Path) {
-    GcTortureConfig Killed = C;
-    Killed.SnapshotPath = Path;
-    faultInjector().arm({FaultSite::GcStepAbort, K});
-    {
-      GcTortureRun R(Killed);
-      try {
-        R.run();
-        ADD_FAILURE() << "kill at boundary " << K << " never fired";
-      } catch (const StatusError &E) {
-        EXPECT_EQ(E.status().code(), StatusCode::Aborted) << E.status().toString();
-      }
-    }
-    GcTortureRun Resumed(C);
-    Status S = Resumed.resume(Path);
-    EXPECT_TRUE(S.ok()) << "resume at boundary " << K << ": " << S.toString();
-    return Resumed.digest();
-  }
-
-  static void sweep(const GcTortureConfig &C, const char *SnapName) {
-    GcTortureDigest Want = runGcTorture(C);
-    EXPECT_GT(Want.Collections, 3u);
-    EXPECT_GT(Want.GcSteps, 8u);
-
-    // Cutting snapshots at every boundary is counter-invisible.
-    std::string Path = tempSnap(SnapName);
-    GcTortureConfig Cutting = C;
-    Cutting.SnapshotPath = Path;
-    GcTortureRun Probe(Cutting);
-    Probe.run();
-    uint64_t Boundaries = Probe.boundariesSeen();
-    ASSERT_GT(Boundaries, 8u);
-    EXPECT_EQ(Probe.digest(), Want) << Probe.digest().toString() << "\nvs "
-                                    << Want.toString();
-
-    // Kill at every boundary; every resume must land on the same digest.
-    for (uint64_t K = 1; K <= Boundaries; ++K) {
-      GcTortureDigest Got = killAndResume(C, K, Path);
-      ASSERT_EQ(Got, Want) << "kill at boundary " << K << ":\n  "
-                           << Got.toString() << "\nvs " << Want.toString();
-    }
+  /// Kills a run of \p C at every boundary via the gc-step-abort site
+  /// (runGcTortureSweep): cutting at every boundary must not move the
+  /// digest, and every resume must land on the uninterrupted run's digest.
+  static void sweep(GcTortureConfig C, const char *SnapName) {
+    C.SnapshotPath = tempSnap(SnapName);
+    Expected<GcTortureSweepResult> R =
+        runGcTortureSweep(C, GcTortureKill::Abort);
+    ASSERT_TRUE(R.ok()) << R.status().toString();
+    EXPECT_GT(R->Reference.Collections, 3u);
+    EXPECT_GT(R->Reference.GcSteps, 8u);
+    ASSERT_GT(R->Boundaries, 8u);
+    EXPECT_EQ(R->CutsTested, R->Boundaries);
+    EXPECT_EQ(R->CutsFired, R->Boundaries)
+        << "every armed kill must actually abort its run";
+    EXPECT_FALSE(faultInjector().armed());
   }
 };
 
@@ -206,6 +175,38 @@ TEST_F(GcTorture, InjectedStepAbortResumesBitIdentically) {
   ASSERT_TRUE(Resumed.resume(Path).ok());
   EXPECT_FALSE(faultInjector().armed());
   EXPECT_EQ(Resumed.digest(), Want);
+}
+
+//===--- Sweep preconditions ------------------------------------------------===//
+
+TEST_F(GcTorture, SweepOfARunThatNeverCollectsIsRejected) {
+  GcTortureConfig C = baseConfig(GcKind::Cheney);
+  C.Ops = 1; // One op cannot fill a 64 KiB semispace: no step boundary.
+  C.SnapshotPath = tempSnap("torture_empty");
+  ASSERT_EQ(runGcTorture(C).GcSteps, 0u);
+  for (GcTortureKill Kill : {GcTortureKill::Abort, GcTortureKill::SigKill}) {
+    Expected<GcTortureSweepResult> R = runGcTortureSweep(C, Kill);
+    ASSERT_FALSE(R.ok()) << "a sweep that tested nothing must not pass";
+    EXPECT_EQ(R.status().code(), StatusCode::InvalidArgument);
+    EXPECT_FALSE(faultInjector().armed());
+  }
+}
+
+TEST_F(GcTorture, SingleKillSweepAndItsBounds) {
+  GcTortureConfig C = baseConfig(GcKind::Cheney);
+  C.SnapshotPath = tempSnap("torture_single");
+  Expected<GcTortureSweepResult> R =
+      runGcTortureSweep(C, GcTortureKill::Abort, /*OnlyAt=*/5);
+  ASSERT_TRUE(R.ok()) << R.status().toString();
+  EXPECT_EQ(R->CutsTested, 1u);
+  EXPECT_EQ(R->CutsFired, 1u);
+
+  // A plan armed by the caller is dropped on the early return as well.
+  faultInjector().arm({FaultSite::WorkerKill, 1}); // Never reached here.
+  R = runGcTortureSweep(C, GcTortureKill::Abort, R->Boundaries + 1);
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.status().code(), StatusCode::InvalidArgument);
+  EXPECT_FALSE(faultInjector().armed());
 }
 
 //===--- Snapshot validation -------------------------------------------------===//
