@@ -14,9 +14,9 @@
 ///                GCACHE_THREADS env). Counters are bit-identical at any
 ///                thread count; see CacheBank::setThreads.
 ///   --batch N    references per columnar batch of the cache bank's
-///                batch-mode kernel (default CacheBank::DefaultBatchRefs;
+///                batched modes (default CacheBank::DefaultBatchRefs;
 ///                GCACHE_BATCH env). Counters are bit-identical at any
-///                batch size; see memsys/BatchKernel.h.
+///                batch size; see memsys/CacheColumn.h.
 ///   --fault S    arm a fault-injection plan `<site>:<n>[:<seed>]`
 ///                (GCACHE_FAULT env; see support/FaultInjector.h)
 ///   --paranoid[=phase]  verify the live heap after every collection and

@@ -1,9 +1,10 @@
 //===- bank_bench.cpp - Paper-grid bank throughput to BENCH_bank.json -----===//
 //
 // Measures the refs/s of the full §4 paper-grid cache bank under its three
-// execution modes — serial per-reference dispatch, the serial columnar
-// batch kernel (memsys/BatchKernel.h), and threaded shard workers — over
-// the same young-heap-shaped reference stream as BM_BankPaperGrid, and
+// execution modes — serial per-reference dispatch, serial batches through
+// the all-sizes column engine (memsys/CacheColumn.h), and threaded shard
+// workers — over the same young-heap-shaped reference stream as
+// BM_BankPaperGrid, and
 // writes the trajectory to a JSON file. Counters must be bit-identical
 // across every mode; this binary verifies that before reporting any
 // number, so a speedup can never come from simulating something else.

@@ -51,8 +51,8 @@ BENCHMARK(BM_CacheRandomLoads)->Arg(64 << 10)->Arg(4 << 20);
 
 // The workload every experiment pays for: one reference stream feeding the
 // full §4 paper grid. Args are {threads, batched}: {0,0} is the serial
-// per-reference baseline, {0,1} the serial columnar batch kernel
-// (memsys/BatchKernel.h), {N,1} N shard workers (threaded mode always
+// per-reference baseline, {0,1} serial batches through the column engine
+// (memsys/CacheColumn.h), {N,1} N shard workers (threaded mode always
 // batches). Counters are bit-identical in every mode, so refs/s is the
 // only thing that changes; items_per_second is the measure the acceptance
 // docs quote, and bench/bank_bench.cpp writes the same comparison to

@@ -18,7 +18,7 @@
 //                       step counts, and how collector references
 //                       distribute over the stepped phases
 //   --replay            replay into a simulated cache and print miss counts
-//                       (serial replays use the batch kernel)
+//                       (serial replays run batched)
 //   --cache-size=<b>    simulated cache size for --replay (default 65536)
 //   --block-size=<b>    simulated block size for --replay (default 64)
 //   --stop-after=<n>    abort after n records (kill simulation for testing)

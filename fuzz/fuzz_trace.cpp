@@ -14,8 +14,9 @@
 //    salvage accounting (droppedBytes/droppedRecords) is consistent;
 //  - the batched decode path (TraceStream::nextRefBatch) yields columns
 //    that always pass BatchKernel::validate, and replaying them through
-//    the batch kernel ends with counters identical to the scalar replay —
-//    for any input and any batch capacity.
+//    the batch kernel, and through the column engine on two sizes at
+//    once, ends with counters identical to the scalar replay — for any
+//    input and any batch capacity.
 //
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +24,7 @@
 
 #include "gcache/memsys/BatchKernel.h"
 #include "gcache/memsys/Cache.h"
+#include "gcache/memsys/CacheColumn.h"
 #include "gcache/trace/TraceFile.h"
 
 #include <cstdint>
@@ -33,6 +35,7 @@ using namespace gcache;
 namespace {
 
 const CacheConfig FuzzCacheConfig{.SizeBytes = 1 << 10, .BlockBytes = 32};
+const CacheConfig FuzzLargeConfig{.SizeBytes = 4 << 10, .BlockBytes = 32};
 
 bool sameCounters(const Cache &A, const Cache &B, Phase P) {
   const CacheCounters &X = A.counters(P);
@@ -64,12 +67,15 @@ Cache replayChecked(TraceStream &S) {
   return C;
 }
 
-/// Replays \p S through the columnar path — nextRefBatch runs fed to
-/// BatchKernel::run, markers dispatched scalar — and checks the result
-/// against the scalar replay's cache.
+/// Replays \p S through the columnar paths — nextRefBatch runs fed to
+/// BatchKernel::run and to a column of two sizes, markers dispatched
+/// scalar — and checks the result against scalar replays.
 void replayBatchedChecked(TraceStream &S, size_t BatchCap,
                           const Cache &Scalar) {
   Cache C(FuzzCacheConfig);
+  Cache Small(FuzzCacheConfig), Large(FuzzLargeConfig);
+  Cache LargeScalar(FuzzLargeConfig);
+  std::vector<CacheColumn> Column = CacheColumn::partition({&Small, &Large});
   RefColumns B;
   BatchIndex Idx;
   TraceRecord Rec;
@@ -81,6 +87,9 @@ void replayBatchedChecked(TraceStream &S, size_t BatchCap,
                  "trace-decoded columns must always validate");
       Idx.reset(&B);
       BatchKernel::run(C, B, Idx);
+      Column[0].run(B, Idx);
+      for (size_t I = 0; I != N; ++I)
+        (void)LargeScalar.access(B.get(I));
     }
     if (N == BatchCap)
       continue;
@@ -97,6 +106,14 @@ void replayBatchedChecked(TraceStream &S, size_t BatchCap,
              "batch kernel must match the scalar replay on any valid trace");
   FUZZ_CHECK(C.auditState().ok(),
              "cache invariants must hold after any batched replay");
+  Column[0].materialize();
+  FUZZ_CHECK(sameCounters(Scalar, Small, Phase::Mutator) &&
+                 sameCounters(Scalar, Small, Phase::Collector) &&
+                 sameCounters(LargeScalar, Large, Phase::Mutator) &&
+                 sameCounters(LargeScalar, Large, Phase::Collector),
+             "column engine must match the scalar replay on any valid trace");
+  FUZZ_CHECK(Small.auditState().ok() && Large.auditState().ok(),
+             "cache invariants must hold after any column replay");
 }
 
 } // namespace

@@ -2010,4 +2010,3 @@ int TraceService::run() {
   return P->AuditFailed ? ServeExitFailure : Code;
 }
 
-std::string TraceService::manifestJson() const { return P->Manifest; }

@@ -139,9 +139,6 @@ public:
   /// Runs the event loop; returns the process exit code (see ServeExit*).
   int run();
 
-  /// The manifest JSON as of the last update (tests).
-  std::string manifestJson() const;
-
 private:
   struct Impl;
   std::unique_ptr<Impl> P;

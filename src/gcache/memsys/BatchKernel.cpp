@@ -9,73 +9,6 @@
 
 using namespace gcache;
 
-const BatchIndex::BlockColumns &BatchIndex::columnsFor(uint32_t BlockBytes) {
-  assert(Batch && "BatchIndex::reset must point at a batch first");
-  BlockColumns *Free = nullptr;
-  for (BlockColumns &C : Columns) {
-    if (C.BlockBytes == BlockBytes)
-      return C;
-    if (C.BlockBytes == 0 && !Free)
-      Free = &C;
-  }
-  if (!Free) {
-    Columns.emplace_back();
-    Free = &Columns.back();
-  }
-  BlockColumns &C = *Free;
-  C.BlockBytes = BlockBytes;
-  const size_t N = Batch->size();
-  assert(N <= BlockColumns::RunLenMask &&
-         "batch too large for the packed run encoding");
-  // Size the buffers for the worst case (every reference its own run)
-  // and write through raw pointers: the builder loop then has no
-  // capacity checks, and the vectors keep their high-water storage so
-  // later batches pay no initialization at all.
-  if (C.RunPacked.size() < N) {
-    C.RunPacked.resize(N);
-    C.RunBlockIdx.resize(N);
-    C.FirstWordBit.resize(N);
-    C.StoreMask.resize(N);
-  }
-  uint32_t *RP = C.RunPacked.data();
-  uint32_t *RB = C.RunBlockIdx.data();
-  uint64_t *FW = C.FirstWordBit.data();
-  uint64_t *SM = C.StoreMask.data();
-  const uint32_t Shift = std::bit_width(BlockBytes) - 1;
-  const uint32_t OffsetMask = BlockBytes - 1;
-  const Address *Addr = Batch->Addr.data();
-  const uint8_t *Kind = Batch->Kind.data();
-  size_t R = static_cast<size_t>(-1); // index of the run being extended
-  uint32_t PrevBI = 0;
-  for (size_t I = 0; I != N; ++I) {
-    const Address A = Addr[I];
-    const uint32_t BI = A >> Shift;
-    const uint64_t WBit = 1ull << ((A & OffsetMask) >> 2);
-    const bool IsStore = (Kind[I] & 1) != 0;
-    if (I != 0 && BI == PrevBI) {
-      // Same block as the previous reference: extend the run. The length
-      // lives in the low bits, so ++ never carries into the flags.
-      ++RP[R];
-      if (IsStore)
-        SM[R] |= WBit;
-      else
-        RP[R] |= BlockColumns::RunHasTailLoad;
-    } else {
-      uint32_t Packed = 1;
-      if (IsStore)
-        Packed |= BlockColumns::RunFirstIsStore;
-      ++R;
-      RP[R] = Packed;
-      RB[R] = BI;
-      FW[R] = WBit;
-      SM[R] = IsStore ? WBit : 0;
-      PrevBI = BI;
-    }
-  }
-  C.NumRuns = R + 1;
-  return C;
-}
-
 const BatchIndex::RefTally &BatchIndex::tally() {
   assert(Batch && "BatchIndex::reset must point at a batch first");
   if (TallyValid)
@@ -103,11 +36,6 @@ Status BatchKernel::validate(const RefColumns &Batch) {
                          "%zu phase tags",
                          Batch.Addr.size(), Batch.Kind.size(),
                          Batch.PhaseTag.size());
-  if (Batch.size() > BatchIndex::BlockColumns::RunLenMask)
-    return Status::failf(StatusCode::InvalidArgument,
-                         "batch of %zu references exceeds the %u-reference "
-                         "limit of the packed run encoding",
-                         Batch.size(), BatchIndex::BlockColumns::RunLenMask);
   for (size_t I = 0; I != Batch.size(); ++I) {
     if (Batch.Kind[I] > static_cast<uint8_t>(AccessKind::Store))
       return Status::failf(StatusCode::InvalidArgument,
@@ -121,99 +49,26 @@ Status BatchKernel::validate(const RefColumns &Batch) {
   return Status();
 }
 
-namespace {
-
-/// The first reference of a run against one cache line: the only
-/// reference of a run that can block-miss. \p Resident says whether \p L
-/// already holds the run's block (otherwise \p L is the victim to evict
-/// and refill). The miss events count into \p Fetch, \p NoFetch and
-/// \p Wb for the batch's one phase; with \p PerBlock they also count
-/// into the per-block arrays at \p SetIdx. Every batch loop (the solo
-/// loop and both caches of the paired loop) makes this transition through
-/// here, and it is the state change Cache::simulate makes for the same
-/// reference. Templated on the line type so it can name Cache's private
-/// Line without being a member.
-template <bool PerBlock, typename LineT>
-[[gnu::always_inline]] inline void
-firstRef(LineT *L, bool Resident, uint32_t Tag, uint64_t WB, bool IsStore,
-         bool TrackDirty, bool FoW, uint64_t FullMask, uint64_t &Fetch,
-         uint64_t &NoFetch, uint64_t &Wb, uint64_t *BlockMisses,
-         uint64_t *BlockFetch, uint32_t SetIdx) {
-  if (Resident) {
-    if (IsStore) {
-      L->ValidMask |= WB;
-      if (TrackDirty)
-        L->Dirty = true;
-    } else if (!(L->ValidMask & WB)) {
-      // Sub-block read miss: resident block, never-fetched word.
-      L->ValidMask = FullMask;
-      ++Fetch;
-      if constexpr (PerBlock) {
-        ++BlockMisses[SetIdx];
-        ++BlockFetch[SetIdx];
-      }
-    }
-    return;
-  }
-  // Block miss: evict the line (writing back if dirty), install.
-  if (L->ValidMask != 0 && L->Dirty)
-    ++Wb;
-  L->Tag = Tag;
-  L->Dirty = false;
-  if (IsStore && !FoW) {
-    L->ValidMask = WB;
-    if (TrackDirty)
-      L->Dirty = true;
-    ++NoFetch;
-    if constexpr (PerBlock)
-      ++BlockMisses[SetIdx];
-  } else {
-    L->ValidMask = FullMask;
-    if (IsStore && TrackDirty)
-      L->Dirty = true;
-    ++Fetch;
-    if constexpr (PerBlock) {
-      ++BlockMisses[SetIdx];
-      ++BlockFetch[SetIdx];
-    }
-  }
-}
-
-} // namespace
-
-/// The batch inner loop over a single-phase batch, specialized on the two
-/// properties that change its shape (set scan and per-block bookkeeping).
-/// Policy flags only select among counter increments, so they stay
-/// hoisted locals — the branch predictor treats loop-invariant booleans
-/// as free. Direct-mapped caches (the whole paper grid) run the same set
-/// scan with the way count fixed at one, which folds to a single line
-/// probe.
-///
-/// The loop walks the batch run by run (BlockColumns::RunPacked), not
-/// reference by reference: one same-block run needs one set scan and one
-/// line write-back no matter how long it is, plain loads/stores were
-/// already counted in bulk from the tally, and a run tail without loads
-/// reduces to a single OR of the precomputed store mask. The per-
-/// reference path survives only for run tails containing loads, whose
-/// sub-block validity is order-sensitive.
-///
-/// Every step is observationally equivalent to Cache::simulate: a run is
-/// a span of accesses to one line, so collapsing its interior writes is
-/// invisible at run boundaries — and nothing can observe the line mid-
-/// run. The bit-identity tests pin this loop to the scalar path at every
-/// flush boundary; any change here must be mirrored there (and vice
-/// versa).
-template <bool DirectMapped, bool PerBlock>
+/// The batch inner loop over a single-phase batch, specialized on
+/// per-block bookkeeping. It is Cache::simulate with the policy flags
+/// hoisted (the branch predictor treats loop-invariant booleans as free),
+/// the clock and miss events in locals written back once, and plain loads
+/// and stores counted in bulk from the batch tally. The direct-mapped
+/// caches of a bank take the all-sizes column engine instead
+/// (memsys/CacheColumn.h). The bit-identity tests pin this loop to the
+/// scalar path at every flush boundary; any change here must be mirrored
+/// there (and vice versa).
+template <bool PerBlock>
 void BatchKernel::runLoop(Cache &C, const RefColumns &Batch,
-                          const BatchIndex::BlockColumns &Cols,
                           const BatchIndex::RefTally &Tally,
                           unsigned BatchPhase) {
   using Line = Cache::Line;
   const uint32_t SetMask = C.SetMask;
   const uint32_t SetShift = std::bit_width(SetMask); // log2(numSets)
-  const uint32_t Ways = DirectMapped ? 1 : C.Config.Ways;
+  const uint32_t BlockShift = C.BlockShift;
+  const uint32_t Ways = C.Config.Ways;
   const uint64_t FullMask = C.FullMask;
-  const uint32_t OffsetMask = Cols.BlockBytes - 1;
+  const uint32_t OffsetMask = C.Config.BlockBytes - 1;
   const bool WriteThrough = C.Config.WriteHit == WriteHitPolicy::WriteThrough;
   const bool TrackDirty = C.Config.WriteHit == WriteHitPolicy::WriteBack;
   // The batch has one phase, so the fetch-on-write decision is made once.
@@ -221,49 +76,21 @@ void BatchKernel::runLoop(Cache &C, const RefColumns &Batch,
                    (C.Config.CollectorFetchOnWrite && BatchPhase != 0);
 
   Line *Lines = C.Lines.data();
-  const uint32_t *RunPacked = Cols.RunPacked.data();
-  const uint32_t *RunBlockIdx = Cols.RunBlockIdx.data();
-  const uint64_t *FirstWordBit = Cols.FirstWordBit.data();
-  const uint64_t *StoreMask = Cols.StoreMask.data();
-  const size_t NumRuns = Cols.NumRuns;
   const Address *Addr = Batch.Addr.data();
   const uint8_t *Kind = Batch.Kind.data();
   uint64_t *BlockRefs = PerBlock ? C.BlockRefs.data() : nullptr;
   uint64_t *BlockMisses = PerBlock ? C.BlockMisses.data() : nullptr;
   uint64_t *BlockFetch = PerBlock ? C.BlockFetchMisses.data() : nullptr;
 
-  // The clock and the miss events accumulate in scalar locals and write
-  // back once at the end (counting through a phase-indexed array in the
-  // loop forces the counts through memory, which costs a third of the
-  // loop). Loads, stores, and store write-throughs are bulk-added from
-  // the batch tally.
   uint64_t Clock = C.LruClock;
   uint64_t Fetch = 0, NoFetch = 0, Wb = 0;
-
-  // Runs hit random cache sets, and for large simulated caches the Lines
-  // array outgrows the host L1/L2 — the line lookup would be a dependent
-  // cache miss per run. The whole batch is known up front, so prefetch
-  // the set of a run a fixed distance ahead and overlap those misses.
-  constexpr size_t PrefetchRuns = 16;
-
-  using BC = BatchIndex::BlockColumns;
-  size_t I = 0;
-  for (size_t R = 0; R != NumRuns; ++R) {
-    {
-      const size_t PR = R + PrefetchRuns;
-      if (PR < NumRuns)
-        __builtin_prefetch(
-            Lines + static_cast<size_t>(RunBlockIdx[PR] & SetMask) * Ways);
-    }
-    const uint32_t Packed = RunPacked[R];
-    const uint32_t Len = Packed & BC::RunLenMask;
-    const uint32_t BI = RunBlockIdx[R];
+  for (size_t I = 0, N = Batch.size(); I != N; ++I) {
+    const uint32_t BI = Addr[I] >> BlockShift;
     const uint32_t SetIdx = BI & SetMask;
     const uint32_t Tag = BI >> SetShift;
+    const uint64_t WB = 1ull << ((Addr[I] & OffsetMask) >> 2);
+    const bool IsStore = Kind[I] & 1;
 
-    // One set scan per run: every reference after the first is
-    // guaranteed to find the block resident (ValidMask never drops to
-    // 0 between the install and the end of the run).
     Line *Set = Lines + static_cast<size_t>(SetIdx) * Ways;
     Line *Found = nullptr;
     Line *Victim = Set;
@@ -281,55 +108,39 @@ void BatchKernel::runLoop(Cache &C, const RefColumns &Batch,
     }
     Line *L = Found ? Found : Victim;
 
-    // First reference of the run. Its decomposition lives in the run-
-    // indexed columns, so store-only runs and singleton loads never
-    // touch per-reference arrays.
-    ++Clock;
-    firstRef<PerBlock>(L, Found != nullptr, Tag, FirstWordBit[R],
-                       (Packed & BC::RunFirstIsStore) != 0, TrackDirty, FoW,
-                       FullMask, Fetch, NoFetch, Wb, BlockMisses, BlockFetch,
-                       SetIdx);
-    ++I;
-
-    if (const uint32_t Rest = Len - 1) {
-      if (!(Packed & BC::RunHasTailLoad)) {
-        // Store-only tail: stores to a resident block just OR their
-        // word bits and set the dirty flag, so the whole tail is
-        // three register ops (the counters came from the tally).
-        L->ValidMask |= StoreMask[R];
-        if (TrackDirty)
-          L->Dirty = true;
-        Clock += Rest;
-        I += Rest;
+    uint64_t Missed = 0, Fetched = 0;
+    if (Found) {
+      if (IsStore) {
+        L->ValidMask |= WB;
+        L->Dirty |= TrackDirty;
+      } else if (!(L->ValidMask & WB)) {
+        // Sub-block read miss: resident block, never-fetched word.
+        L->ValidMask = FullMask;
+        Missed = Fetched = 1;
+      }
+    } else {
+      // Block miss: evict the victim (writing back if dirty), install.
+      if (L->ValidMask != 0 && L->Dirty)
+        ++Wb;
+      L->Tag = Tag;
+      Missed = 1;
+      if (IsStore && !FoW) {
+        L->ValidMask = WB;
+        L->Dirty = TrackDirty;
       } else {
-        // The tail holds loads, whose sub-block validity depends on
-        // the exact interleaving: walk it with state in registers.
-        uint64_t VM = L->ValidMask;
-        bool Dirty = L->Dirty;
-        for (const size_t End = I + Rest; I != End; ++I) {
-          ++Clock;
-          const uint64_t Bit = 1ull << ((Addr[I] & OffsetMask) >> 2);
-          if (Kind[I] & 1) {
-            VM |= Bit;
-            Dirty |= TrackDirty;
-          } else if (!(VM & Bit)) {
-            VM = FullMask;
-            ++Fetch;
-            if constexpr (PerBlock) {
-              ++BlockMisses[SetIdx];
-              ++BlockFetch[SetIdx];
-            }
-          }
-        }
-        L->ValidMask = VM;
-        L->Dirty = Dirty;
+        L->ValidMask = FullMask;
+        L->Dirty = IsStore && TrackDirty;
+        Fetched = 1;
       }
     }
-    // The scalar path stamps every access; only the final stamp of
-    // the run (== the clock at its last reference) is observable.
-    L->LruStamp = Clock;
-    if constexpr (PerBlock)
-      BlockRefs[SetIdx] += Len;
+    L->LruStamp = ++Clock;
+    Fetch += Fetched;
+    NoFetch += Missed - Fetched;
+    if constexpr (PerBlock) {
+      ++BlockRefs[SetIdx];
+      BlockMisses[SetIdx] += Missed;
+      BlockFetch[SetIdx] += Fetched;
+    }
   }
 
   C.LruClock = Clock;
@@ -361,211 +172,9 @@ void BatchKernel::run(Cache &C, const RefColumns &Batch, BatchIndex &Index) {
       (void)C.access(Batch.get(I));
     return;
   }
-  const BatchIndex::BlockColumns &Cols =
-      Index.columnsFor(C.config().BlockBytes);
   const unsigned BatchPhase = AllCollector ? 1 : 0;
-  if (C.config().Ways == 1) {
-    if (C.config().TrackPerBlockStats)
-      runLoop<true, true>(C, Batch, Cols, Tally, BatchPhase);
-    else
-      runLoop<true, false>(C, Batch, Cols, Tally, BatchPhase);
-  } else {
-    if (C.config().TrackPerBlockStats)
-      runLoop<false, true>(C, Batch, Cols, Tally, BatchPhase);
-    else
-      runLoop<false, false>(C, Batch, Cols, Tally, BatchPhase);
-  }
-}
-
-bool BatchKernel::pairable(const Cache &C) {
-  return C.config().Ways == 1 && !C.config().TrackPerBlockStats &&
-         !C.crossCheckEnabled();
-}
-
-void BatchKernel::runPair(Cache &A, Cache &B, const RefColumns &Batch,
-                          BatchIndex &Index) {
-  assert(Index.batch() == &Batch && "index was reset to a different batch");
-  assert(pairable(A) && pairable(B) && "runPair caller must check pairable");
-  assert(A.config().BlockBytes == B.config().BlockBytes &&
-         "paired caches must share the decomposed columns");
-  if (Batch.empty())
-    return;
-  const BatchIndex::RefTally &Tally = Index.tally();
-  const bool AllCollector = Tally.Loads[0] + Tally.Stores[0] == 0;
-  const bool AllMutator = Tally.Loads[1] + Tally.Stores[1] == 0;
-  if (!AllCollector && !AllMutator) {
-    // Mixed-phase batches are rare (CacheBank flushes at GC boundaries);
-    // the scalar-counter pair loop does not apply, so take two plain runs.
-    run(A, Batch, Index);
-    run(B, Batch, Index);
-    return;
-  }
-  const BatchIndex::BlockColumns &Cols =
-      Index.columnsFor(A.config().BlockBytes);
-  const unsigned BatchPhase = AllCollector ? 1 : 0;
-  // The paper grid is uniformly write-back with write-allocate-no-fetch:
-  // when both caches fit that shape (for this batch's phase), take the
-  // loop with the policy tests compiled out.
-  const bool Uniform =
-      A.config().WriteHit == WriteHitPolicy::WriteBack &&
-      B.config().WriteHit == WriteHitPolicy::WriteBack &&
-      A.config().WriteMiss != WriteMissPolicy::FetchOnWrite &&
-      B.config().WriteMiss != WriteMissPolicy::FetchOnWrite &&
-      !(A.config().CollectorFetchOnWrite && BatchPhase != 0) &&
-      !(B.config().CollectorFetchOnWrite && BatchPhase != 0);
-  Uniform ? runLoopPair<true>(A, B, Batch, Cols, Tally, BatchPhase)
-          : runLoopPair<false>(A, B, Batch, Cols, Tally, BatchPhase);
-}
-
-/// The two-cache interleaved twin of the direct-mapped runLoop: one run
-/// decode drives both caches' state machines. Per-run work that depends
-/// only on the reference stream (packed length/flags, store masks, tail
-/// classification, the clock) is shared; everything that depends on cache
-/// geometry (set index, tag, line state, counters) is kept per cache.
-/// Since the caches never read each other's state, the interleaving is
-/// unobservable and each ends exactly as a solo runLoop would leave it.
-template <bool Uniform>
-void BatchKernel::runLoopPair(Cache &A, Cache &B, const RefColumns &Batch,
-                              const BatchIndex::BlockColumns &Cols,
-                              const BatchIndex::RefTally &Tally,
-                              unsigned BatchPhase) {
-  using Line = Cache::Line;
-  const uint32_t SetMaskA = A.SetMask, SetMaskB = B.SetMask;
-  const uint32_t SetShiftA = std::bit_width(SetMaskA);
-  const uint32_t SetShiftB = std::bit_width(SetMaskB);
-  const uint64_t FullMask = A.FullMask; // equal BlockBytes, equal mask
-  const uint32_t OffsetMask = Cols.BlockBytes - 1;
-  const bool WriteThroughA =
-      A.Config.WriteHit == WriteHitPolicy::WriteThrough;
-  const bool WriteThroughB =
-      B.Config.WriteHit == WriteHitPolicy::WriteThrough;
-  // Under Uniform these fold to compile-time constants (write-back,
-  // never fetch-on-write), erasing the policy tests from the loop.
-  const bool TrackDirtyA =
-      Uniform || A.Config.WriteHit == WriteHitPolicy::WriteBack;
-  const bool TrackDirtyB =
-      Uniform || B.Config.WriteHit == WriteHitPolicy::WriteBack;
-  const bool FoWA =
-      !Uniform && (A.Config.WriteMiss == WriteMissPolicy::FetchOnWrite ||
-                   (A.Config.CollectorFetchOnWrite && BatchPhase != 0));
-  const bool FoWB =
-      !Uniform && (B.Config.WriteMiss == WriteMissPolicy::FetchOnWrite ||
-                   (B.Config.CollectorFetchOnWrite && BatchPhase != 0));
-
-  Line *LinesA = A.Lines.data();
-  Line *LinesB = B.Lines.data();
-  const uint32_t *RunPacked = Cols.RunPacked.data();
-  const uint32_t *RunBlockIdx = Cols.RunBlockIdx.data();
-  const uint64_t *FirstWordBit = Cols.FirstWordBit.data();
-  const uint64_t *StoreMask = Cols.StoreMask.data();
-  const size_t NumRuns = Cols.NumRuns;
-  const Address *Addr = Batch.Addr.data();
-  const uint8_t *Kind = Batch.Kind.data();
-
-  // The clocks advance in lockstep (one tick per reference), so B's
-  // stamps are A's clock plus the constant starting offset.
-  uint64_t Clock = A.LruClock;
-  const uint64_t BOff = B.LruClock - A.LruClock;
-  CacheCounters CntA[2] = {A.Counts[0], A.Counts[1]};
-  CacheCounters CntB[2] = {B.Counts[0], B.Counts[1]};
-  for (unsigned P = 0; P != 2; ++P) {
-    CntA[P].Loads += Tally.Loads[P];
-    CntA[P].Stores += Tally.Stores[P];
-    CntB[P].Loads += Tally.Loads[P];
-    CntB[P].Stores += Tally.Stores[P];
-    if (WriteThroughA)
-      CntA[P].WriteThroughs += Tally.Stores[P];
-    if (WriteThroughB)
-      CntB[P].WriteThroughs += Tally.Stores[P];
-  }
-  uint64_t FetchA = 0, NoFetchA = 0, WbA = 0;
-  uint64_t FetchB = 0, NoFetchB = 0, WbB = 0;
-
-  // One cache's dependent line-array miss overlaps with the other's
-  // whole per-run work, so the pair needs less prefetch depth than the
-  // solo loop; keep the same distance — extra depth is harmless.
-  constexpr size_t PrefetchRuns = 16;
-
-  using BC = BatchIndex::BlockColumns;
-  size_t I = 0;
-  for (size_t R = 0; R != NumRuns; ++R) {
-    {
-      const size_t PR = R + PrefetchRuns;
-      if (PR < NumRuns) {
-        __builtin_prefetch(LinesA + (RunBlockIdx[PR] & SetMaskA));
-        __builtin_prefetch(LinesB + (RunBlockIdx[PR] & SetMaskB));
-      }
-    }
-    const uint32_t Packed = RunPacked[R];
-    const uint32_t Len = Packed & BC::RunLenMask;
-    const uint32_t BI = RunBlockIdx[R];
-    Line *LA = LinesA + (BI & SetMaskA);
-    Line *LB = LinesB + (BI & SetMaskB);
-    const uint32_t TagA = BI >> SetShiftA, TagB = BI >> SetShiftB;
-    const uint64_t WB = FirstWordBit[R];
-    const bool IsStore = (Packed & BC::RunFirstIsStore) != 0;
-    ++Clock;
-    firstRef<false>(LA, LA->ValidMask != 0 && LA->Tag == TagA, TagA, WB,
-                    IsStore, TrackDirtyA, FoWA, FullMask, FetchA, NoFetchA,
-                    WbA, nullptr, nullptr, 0);
-    firstRef<false>(LB, LB->ValidMask != 0 && LB->Tag == TagB, TagB, WB,
-                    IsStore, TrackDirtyB, FoWB, FullMask, FetchB, NoFetchB,
-                    WbB, nullptr, nullptr, 0);
-    ++I;
-
-    if (const uint32_t Rest = Len - 1) {
-      if (!(Packed & BC::RunHasTailLoad)) {
-        const uint64_t Mask = StoreMask[R];
-        LA->ValidMask |= Mask;
-        LB->ValidMask |= Mask;
-        if (TrackDirtyA)
-          LA->Dirty = true;
-        if (TrackDirtyB)
-          LB->Dirty = true;
-        Clock += Rest;
-        I += Rest;
-      } else {
-        uint64_t VMA = LA->ValidMask, VMB = LB->ValidMask;
-        bool DirtyA = LA->Dirty, DirtyB = LB->Dirty;
-        for (const size_t End = I + Rest; I != End; ++I) {
-          ++Clock;
-          const uint64_t Bit = 1ull << ((Addr[I] & OffsetMask) >> 2);
-          if (Kind[I] & 1) {
-            VMA |= Bit;
-            VMB |= Bit;
-            DirtyA |= TrackDirtyA;
-            DirtyB |= TrackDirtyB;
-          } else {
-            if (!(VMA & Bit)) {
-              VMA = FullMask;
-              ++FetchA;
-            }
-            if (!(VMB & Bit)) {
-              VMB = FullMask;
-              ++FetchB;
-            }
-          }
-        }
-        LA->ValidMask = VMA;
-        LA->Dirty = DirtyA;
-        LB->ValidMask = VMB;
-        LB->Dirty = DirtyB;
-      }
-    }
-    LA->LruStamp = Clock;
-    LB->LruStamp = Clock + BOff;
-  }
-
-  A.LruClock = Clock;
-  B.LruClock = Clock + BOff;
-  CntA[BatchPhase].FetchMisses += FetchA;
-  CntA[BatchPhase].NoFetchMisses += NoFetchA;
-  CntA[BatchPhase].Writebacks += WbA;
-  CntB[BatchPhase].FetchMisses += FetchB;
-  CntB[BatchPhase].NoFetchMisses += NoFetchB;
-  CntB[BatchPhase].Writebacks += WbB;
-  A.Counts[0] = CntA[0];
-  A.Counts[1] = CntA[1];
-  B.Counts[0] = CntB[0];
-  B.Counts[1] = CntB[1];
+  if (C.config().TrackPerBlockStats)
+    runLoop<true>(C, Batch, Tally, BatchPhase);
+  else
+    runLoop<false>(C, Batch, Tally, BatchPhase);
 }

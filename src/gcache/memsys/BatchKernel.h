@@ -5,18 +5,19 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The batch-mode hot path of the cache-bank simulator. Where the scalar
-/// path dispatches one Ref at a time into every cache (Cache::access per
-/// reference per configuration), the batch kernel takes a whole columnar
-/// batch (trace/Event.h RefColumns) and simulates it against one cache in
-/// one run loop: policy flags are hoisted out of the loop, counters
-/// accumulate in locals, the direct-mapped case runs the same set scan
-/// with the way count fixed at one (a single line probe), and the
-/// per-reference address decomposition — block index and word valid-bit
-/// — is precomputed once per (batch, block size) in a BatchIndex and
-/// shared by every cache configuration with that block size. One trace
-/// read therefore feeds the whole paper grid with the address arithmetic
-/// done once per block-size column instead of once per cache.
+/// The batch-mode path of the cache simulator for a single cache. Where
+/// the scalar path dispatches one Ref at a time (Cache::access per
+/// reference), the batch kernel takes a whole columnar batch
+/// (trace/Event.h RefColumns) and simulates it against one cache in one
+/// loop: policy flags are hoisted out of the loop, miss counters and the
+/// LRU clock accumulate in locals, and plain loads and stores are counted
+/// in bulk from a per-batch tally (BatchIndex) that every cache of a bank
+/// shares.
+///
+/// Within a CacheBank, the direct-mapped caches run the all-sizes column
+/// engine (memsys/CacheColumn.h), which reads the same tally; this kernel
+/// serves set-associative caches, cross-checked caches, and lone caches
+/// outside a bank.
 ///
 /// Correctness contract: BatchKernel::run is *bit-identical* to feeding
 /// the same references through Cache::access one at a time — same
@@ -45,83 +46,32 @@
 #include "gcache/support/Status.h"
 #include "gcache/trace/Event.h"
 
-#include <vector>
-
 namespace gcache {
 
 class Cache;
 
-/// Per-batch scratch space holding the precomputed address columns of one
-/// RefColumns batch, one entry per distinct block size. Computed lazily on
-/// first use and reused across the caches of a bank (and across batches —
-/// reset() keeps the allocations). Not thread-safe: each ShardPool worker
-/// owns its own BatchIndex.
+/// Per-batch scratch shared by every cache a batch is simulated against:
+/// the batch's reference tallies, computed on first use. Not thread-safe:
+/// each ShardPool worker owns its own BatchIndex.
 class BatchIndex {
 public:
-  /// The decomposed address columns for one block size, plus the batch's
-  /// same-block run structure. A *run* is a maximal sequence of
-  /// consecutive references to the same block: the kernel locates the
-  /// cache line once per run instead of once per reference, and a run
-  /// whose tail holds only stores collapses to a single OR of the
-  /// precomputed store mask (stores only ever OR word bits, so the order
-  /// inside the tail is unobservable). Runs depend only on the block
-  /// size, so like the address columns they are computed once per batch
-  /// and shared by every cache configuration with that block size.
-  struct BlockColumns {
-    /// Bit 31 of a RunPacked entry: the run's tail (every reference
-    /// after the first) contains at least one load, so the kernel must
-    /// walk it reference by reference for sub-block validity.
-    static constexpr uint32_t RunHasTailLoad = 1u << 31;
-    /// Bit 30: the run's first reference is a store.
-    static constexpr uint32_t RunFirstIsStore = 1u << 30;
-    /// Low 29 bits: the run length (bit 29 is spare). Bounds the batch
-    /// size the kernel accepts (BatchKernel::validate rejects larger
-    /// batches); every producer in the tree caps batches far below this.
-    static constexpr uint32_t RunLenMask = (1u << 29) - 1;
-
-    uint32_t BlockBytes = 0;
-    /// Number of runs in this batch; only the first NumRuns entries of
-    /// the per-run columns below are meaningful. The vectors are kept at
-    /// their high-water size (one slot per reference, worst case) so
-    /// rebuilding a batch writes through raw pointers with no capacity
-    /// checks and no value-initialization pass.
-    size_t NumRuns = 0;
-    // Per-run columns: everything the kernel needs for a store-only run
-    // or a singleton load, so the common case streams four run-indexed
-    // arrays and never touches per-reference data. Only the rare tail-
-    // with-loads walk goes back to the batch's own reference columns
-    // (re-deriving word bits from raw addresses costs two ALU ops and
-    // saves materializing two N-element arrays per block size).
-    std::vector<uint32_t> RunPacked;    ///< Length | flag bits above.
-    std::vector<uint32_t> RunBlockIdx;  ///< The run's block index.
-    std::vector<uint64_t> FirstWordBit; ///< Word bit of the first reference.
-    std::vector<uint64_t> StoreMask;    ///< OR of the run's stores' word bits.
-  };
-
   /// Batch-level reference tallies, independent of any cache
   /// configuration: loads and stores per phase (index 0 mutator,
   /// 1 collector). Computed once per batch and added to every cache's
-  /// counters in bulk, so the inner loop never counts plain references.
+  /// counters in bulk, so the inner loops never count plain references.
   struct RefTally {
     uint64_t Loads[2] = {0, 0};
     uint64_t Stores[2] = {0, 0};
   };
 
-  /// Points the index at a new batch and invalidates all cached columns
-  /// (their storage is kept for reuse). The batch must outlive all
-  /// columnsFor() calls made against it.
+  /// Points the index at a new batch and invalidates the tally. The batch
+  /// must outlive all tally() calls made against it.
   void reset(const RefColumns *B) {
     Batch = B;
     TallyValid = false;
-    for (BlockColumns &C : Columns)
-      C.BlockBytes = 0;
   }
 
   const RefColumns *batch() const { return Batch; }
-
-  /// The decomposed columns of the current batch for \p BlockBytes (a
-  /// power of two), computing them on first request.
-  const BlockColumns &columnsFor(uint32_t BlockBytes);
 
   /// The current batch's per-phase load/store tallies, computed on first
   /// request.
@@ -129,7 +79,6 @@ public:
 
 private:
   const RefColumns *Batch = nullptr;
-  std::vector<BlockColumns> Columns;
   RefTally Tally;
   bool TallyValid = false;
 };
@@ -139,27 +88,12 @@ class BatchKernel {
 public:
   /// Simulates every reference of \p Batch against \p C, in order,
   /// bit-identically to per-reference Cache::access. \p Index must have
-  /// been reset() to \p Batch (it caches the shared address columns).
+  /// been reset() to \p Batch (it caches the shared tally).
   /// A mixed-phase batch, or any batch when a shadow oracle is attached to
   /// \p C, takes the scalar path; with the oracle, a hit-class divergence
   /// throws StatusError(Divergence) from inside the batch exactly as it
   /// would per-reference.
   static void run(Cache &C, const RefColumns &Batch, BatchIndex &Index);
-
-  /// True when \p C can take the paired loop of runPair: direct-mapped,
-  /// no per-block statistics, no shadow oracle attached.
-  static bool pairable(const Cache &C);
-
-  /// Simulates \p Batch against two caches of the same block size in one
-  /// interleaved pass over the shared run columns: the run decode, line
-  /// probes, and tail handling are paid once and feed both caches, which
-  /// hides each cache's dependent line-array misses behind the other's
-  /// work. Both caches end bit-identical to separate run() calls (they
-  /// never observe each other — the interleave only reorders independent
-  /// state machines). Requires pairable(A) && pairable(B) and equal
-  /// BlockBytes; a mixed-phase batch falls back to two run() calls.
-  static void runPair(Cache &A, Cache &B, const RefColumns &Batch,
-                      BatchIndex &Index);
 
   /// Screens untrusted columnar input: the three columns must be the same
   /// length and every Kind/PhaseTag byte must be a valid enumerator.
@@ -169,25 +103,12 @@ public:
   static Status validate(const RefColumns &Batch);
 
 private:
-  /// The run loop over a batch whose references all belong to
-  /// \p BatchPhase (0 mutator, 1 collector). \p DirectMapped fixes the
-  /// way count at one so the set scan folds to a single probe;
-  /// \p PerBlock compiles the per-block statistics in.
-  template <bool DirectMapped, bool PerBlock>
+  /// The loop over a batch whose references all belong to \p BatchPhase
+  /// (0 mutator, 1 collector); \p PerBlock compiles the per-block
+  /// statistics in.
+  template <bool PerBlock>
   static void runLoop(Cache &C, const RefColumns &Batch,
-                      const BatchIndex::BlockColumns &Cols,
                       const BatchIndex::RefTally &Tally, unsigned BatchPhase);
-
-  /// The interleaved two-cache loop behind runPair; single-phase batches
-  /// only (runPair handles the mixed-phase fallback). \p Uniform means
-  /// both caches are write-back and neither fetches on write for this
-  /// batch's phase — the paper-grid default — letting the loop hardcode
-  /// the dirty tracking and miss-install decisions.
-  template <bool Uniform>
-  static void runLoopPair(Cache &A, Cache &B, const RefColumns &Batch,
-                          const BatchIndex::BlockColumns &Cols,
-                          const BatchIndex::RefTally &Tally,
-                          unsigned BatchPhase);
 };
 
 } // namespace gcache

@@ -157,16 +157,24 @@ public:
 private:
   friend class CacheTestPeer; ///< Mutation tests corrupt state on purpose.
   friend class BatchKernel;   ///< The columnar hot path mirrors simulate().
+  friend class CacheColumn;   ///< The all-sizes engine works on Lines.
 
   struct Line {
     uint32_t Tag = 0;
-    uint64_t ValidMask = 0; ///< Bit per word; 0 means the line is empty.
     bool Dirty = false;
+    /// Column-engine bookkeeping (memsys/CacheColumn.h), packed into what
+    /// would otherwise be padding. Meaningful only in the lowest line of a
+    /// group; the reference model ignores them, and snapshots omit them.
+    uint8_t Top = 0;          ///< Highest column level of the line's group.
+    bool HigherDirty = false; ///< Every level above the group is dirty.
+    uint64_t ValidMask = 0; ///< Bit per word; 0 means the line is empty.
+    uint64_t Cover = 0;     ///< Words valid at every level above the group.
     /// 64-bit so long sweeps can never wrap the recency order (a 32-bit
     /// stamp wraps after 2^32 references and corrupts LRU in associative
     /// configurations).
     uint64_t LruStamp = 0;
   };
+  static_assert(sizeof(Line) == 32, "a line must stay 32 bytes");
 
   AccessResult simulate(const Ref &R);
   Line *setBase(uint32_t SetIdx) { return &Lines[SetIdx * Config.Ways]; }

@@ -4,7 +4,6 @@
 
 #include "gcache/support/Snapshot.h"
 
-#include <algorithm>
 #include <cassert>
 
 using namespace gcache;
@@ -28,6 +27,7 @@ size_t CacheBank::addConfig(const CacheConfig &Config) {
   Caches.push_back(std::make_unique<Cache>(Config));
   if (CrossCheckEvery)
     Caches.back()->enableCrossCheck(CrossCheckEvery);
+  rebuildColumns();
   return Caches.size() - 1;
 }
 
@@ -36,6 +36,31 @@ void CacheBank::enableCrossCheck(uint64_t CompareEvery) {
   CrossCheckEvery = CompareEvery ? CompareEvery : 1;
   for (auto &C : Caches)
     C->enableCrossCheck(CrossCheckEvery);
+  rebuildColumns();
+}
+
+void CacheBank::rebuildColumns() {
+  // The new columns start from exact lines and rebuild their groups on
+  // their first batch.
+  releaseColumns();
+  std::vector<Cache *> Raw;
+  for (auto &C : Caches)
+    Raw.push_back(C.get());
+  Columns = CacheColumn::partition(Raw);
+}
+
+/// Per-reference dispatch keeps every line exact but no groups current:
+/// switching into it materializes, switching out of it rebuilds the
+/// groups at the first batch.
+void CacheBank::releaseColumns() {
+  for (CacheColumn &Col : Columns)
+    Col.release();
+}
+
+void CacheBank::materialize() {
+  flush();
+  for (CacheColumn &Col : Columns)
+    Col.materialize();
 }
 
 Status CacheBank::crossCheckNow() const {
@@ -46,7 +71,7 @@ Status CacheBank::crossCheckNow() const {
 }
 
 Status CacheBank::auditAll() {
-  flush();
+  materialize();
   for (const auto &C : Caches)
     if (Status S = C->auditState(); !S.ok())
       return S;
@@ -75,24 +100,29 @@ void CacheBank::addSizeSweep(const CacheConfig &Prototype,
 
 void CacheBank::setThreads(unsigned Threads, size_t BatchRefsWanted) {
   flush();
+  const bool WasBatched = Pool || SerialBatched;
   Pool.reset();
   BatchRefs = BatchRefsWanted ? BatchRefsWanted : DefaultBatchRefs;
-  if (Threads == 0 || Caches.empty())
-    return;
-  std::vector<Cache *> Raw;
-  Raw.reserve(Caches.size());
-  for (auto &C : Caches)
-    Raw.push_back(C.get());
-  Pool = std::make_unique<ShardPool>(Raw, Threads);
-  Pending.reserve(BatchRefs);
+  if (Threads != 0 && !Caches.empty()) {
+    std::vector<CacheColumn *> Raw;
+    for (CacheColumn &Col : Columns)
+      Raw.push_back(&Col);
+    Pool = std::make_unique<ShardPool>(Raw, Threads);
+    Pending.reserve(BatchRefs);
+  }
+  if (WasBatched != (Pool || SerialBatched))
+    releaseColumns();
 }
 
 void CacheBank::setBatched(bool Enabled, size_t BatchRefsWanted) {
   flush();
+  const bool WasBatched = Pool || SerialBatched;
   SerialBatched = Enabled;
   BatchRefs = BatchRefsWanted ? BatchRefsWanted : DefaultBatchRefs;
   if (Enabled && !Pool)
     Pending.reserve(BatchRefs);
+  if (WasBatched != (Pool || SerialBatched))
+    releaseColumns();
 }
 
 void CacheBank::publish() {
@@ -117,33 +147,8 @@ void CacheBank::runSerialBatch() {
     ~Clearer() { B.clear(); }
   } Clear{Pending};
   SerialScratch.reset(&Pending);
-  // Visit the caches grouped by block size — the decomposed columns for
-  // each size are computed once and stay hot for the whole group — and
-  // fold adjacent eligible caches into one interleaved pass (runPair).
-  // The caches are independent, so neither the regrouping nor the
-  // pairing is observable in any cache's final state.
-  std::vector<Cache *> Order;
-  Order.reserve(Caches.size());
-  for (auto &C : Caches)
-    Order.push_back(C.get());
-  std::stable_sort(Order.begin(), Order.end(),
-                   [](const Cache *A, const Cache *B) {
-                     return A->config().BlockBytes < B->config().BlockBytes;
-                   });
-  for (size_t I = 0; I != Order.size();) {
-    Cache &A = *Order[I];
-    if (I + 1 != Order.size()) {
-      Cache &B = *Order[I + 1];
-      if (A.config().BlockBytes == B.config().BlockBytes &&
-          BatchKernel::pairable(A) && BatchKernel::pairable(B)) {
-        BatchKernel::runPair(A, B, Pending, SerialScratch);
-        I += 2;
-        continue;
-      }
-    }
-    BatchKernel::run(A, Pending, SerialScratch);
-    ++I;
-  }
+  for (CacheColumn &Col : Columns)
+    Col.run(Pending, SerialScratch);
 }
 
 void CacheBank::flush() {
@@ -173,10 +178,12 @@ void CacheBank::resetAll() {
   flush();
   for (auto &C : Caches)
     C->reset();
+  for (CacheColumn &Col : Columns)
+    (void)Col.adopt(); // Empty lines are trivially inclusive.
 }
 
 void CacheBank::saveTo(SnapshotWriter &W) {
-  flush();
+  materialize();
   W.beginSection("cache-bank");
   W.putU64(Caches.size());
   for (auto &C : Caches)
@@ -198,5 +205,12 @@ Status CacheBank::loadFrom(const SnapshotReader &R) {
       break;
     Cache->loadState(C);
   }
-  return C.finish();
+  if (Status S = C.finish(); !S.ok())
+    return S;
+  // The loaded lines are exact; each column checks inclusion across its
+  // caches while rebuilding its groups.
+  for (CacheColumn &Col : Columns)
+    if (Status S = Col.adopt(); !S.ok())
+      return S;
+  return Status();
 }

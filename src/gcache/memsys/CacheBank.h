@@ -13,14 +13,21 @@
 /// valid because the cache configuration never influences the reference
 /// stream (program and collector behaviour are cache-independent).
 ///
-/// The same property makes the bank embarrassingly parallel: setThreads()
-/// switches it to a threaded mode in which references accumulate into
-/// fixed-size batches and a ShardPool of workers — each owning a disjoint
-/// shard of the caches — consumes every batch in order. Each cache still
-/// sees the exact serial reference stream, so every counter is
-/// deterministic and bit-identical to the single-threaded result; see
-/// tests/test_parallel_bank.cpp for the equivalence proof. In threaded
-/// mode, call flush() before reading any cache's counters.
+/// In its batched modes the bank simulates *columns* (memsys/CacheColumn.h):
+/// every direct-mapped cache sharing a block size and write policy is one
+/// structure simulated in one pass, so the §4 grid costs five passes per
+/// batch instead of forty. Other caches are columns of one. Counters are
+/// exact after every flush(); line arrays only after materialize(),
+/// saveTo() or auditAll().
+///
+/// The same independence makes the bank embarrassingly parallel:
+/// setThreads() switches it to a threaded mode in which references
+/// accumulate into fixed-size batches and a ShardPool of workers — each
+/// owning a disjoint shard of whole columns — consumes every batch in
+/// order. Each cache still sees the exact serial reference stream, so
+/// every counter is deterministic and bit-identical to the single-threaded
+/// result; see tests/test_parallel_bank.cpp for the equivalence proof. In
+/// threaded mode, call flush() before reading any cache's counters.
 ///
 /// Drain-on-cancel: because every batch boundary is a point of the exact
 /// serial stream, cancelling a run (support/Budget.h) needs no special
@@ -36,6 +43,7 @@
 #define GCACHE_MEMSYS_CACHEBANK_H
 
 #include "gcache/memsys/Cache.h"
+#include "gcache/memsys/CacheColumn.h"
 #include "gcache/memsys/ShardPool.h"
 #include "gcache/support/Status.h"
 
@@ -81,16 +89,14 @@ public:
   unsigned threads() const { return Pool ? Pool->threads() : 0; }
 
   /// Switches serial mode between immediate per-reference dispatch (the
-  /// default) and columnar batch-kernel execution: references accumulate
-  /// into a RefColumns batch and each full batch is simulated by the
-  /// batch kernel, visiting the caches grouped by block size (so the
-  /// decomposed address columns are computed once per size and stay hot)
-  /// and pairing eligible same-block-size caches into one interleaved
-  /// pass (BatchKernel::runPair). Counters
-  /// are bit-identical either way; as in threaded mode, call flush()
-  /// before reading counters. Has no effect while a pool is active
-  /// (threaded mode always runs batched); the flag is remembered and
-  /// applies once setThreads(0) returns the bank to serial execution.
+  /// default) and columnar batch execution: references accumulate into a
+  /// RefColumns batch and each full batch is simulated column by column
+  /// (CacheColumn::run). Counters are bit-identical either way; as in
+  /// threaded mode, call flush() before reading counters. Has no effect
+  /// while a pool is active (threaded mode always runs batched); the flag
+  /// is remembered and applies once setThreads(0) returns the bank to
+  /// serial execution. Returning to per-reference dispatch materializes
+  /// every line array.
   void setBatched(bool Enabled, size_t BatchRefsWanted = DefaultBatchRefs);
   bool batched() const { return SerialBatched; }
 
@@ -109,8 +115,14 @@ public:
   Status crossCheckNow() const;
 
   /// First failing internal-consistency audit across the bank, or Ok
-  /// (Cache::auditState per cache). Drains the workers first.
+  /// (Cache::auditState per cache). Drains the workers and materializes
+  /// the line arrays first.
   Status auditAll();
+
+  /// Drains the workers, then writes every cache's exact line array (the
+  /// column engine keeps some lines stale between flushes). Call before
+  /// reading a cache's lines; counters never need it.
+  void materialize();
 
   /// Publishes any buffered references and waits until the workers have
   /// simulated everything. Required before reading counters in threaded
@@ -153,15 +165,22 @@ public:
   /// Drains the workers, then restores every cache in place from the
   /// snapshot's "cache-bank" section. Loading in place keeps the shard
   /// workers' cache pointers valid, so threaded mode survives a resume.
-  /// Geometry or count mismatches return Corrupt and leave the bank's
-  /// counters unspecified (callers discard the run).
+  /// Geometry or count mismatches, and caches of one column that are not
+  /// inclusive, return Corrupt and leave the bank's counters unspecified
+  /// (callers discard the run).
   Status loadFrom(const SnapshotReader &R);
 
 private:
   void publish();
   void runSerialBatch();
+  /// Re-sorts the caches into columns (after the cache list changes).
+  void rebuildColumns();
+  /// Marks every column's groups stale after materializing; called on
+  /// every switch between per-reference and batched dispatch.
+  void releaseColumns();
 
   std::vector<std::unique_ptr<Cache>> Caches;
+  std::vector<CacheColumn> Columns;
   std::unique_ptr<ShardPool> Pool;
   RefBatch Pending;
   BatchIndex SerialScratch; ///< Kernel scratch for serial batched mode.

@@ -2,19 +2,20 @@
 
 #include "gcache/memsys/ShardPool.h"
 
-#include "gcache/memsys/Cache.h"
+#include "gcache/memsys/CacheColumn.h"
 #include "gcache/support/FaultInjector.h"
 
 #include <algorithm>
 
 using namespace gcache;
 
-ShardPool::ShardPool(const std::vector<Cache *> &Caches, unsigned ThreadCount) {
+ShardPool::ShardPool(const std::vector<CacheColumn *> &Columns,
+                     unsigned ThreadCount) {
   unsigned N = std::min<unsigned>(std::max(ThreadCount, 1u),
-                                  static_cast<unsigned>(Caches.size()));
+                                  static_cast<unsigned>(Columns.size()));
   Workers.resize(N);
-  for (size_t I = 0; I != Caches.size(); ++I)
-    Workers[I % N].Shard.push_back(Caches[I]);
+  for (size_t I = 0; I != Columns.size(); ++I)
+    Workers[I % N].Shard.push_back(Columns[I]);
   for (Worker &W : Workers)
     Threads.emplace_back([this, &W] { workerLoop(W); });
 }
@@ -72,8 +73,8 @@ void ShardPool::workerLoop(Worker &W) {
           throwStatus(StatusCode::WorkerFailure,
                       "injected shard-worker failure (site shard-worker)");
         W.Scratch.reset(Batch.get());
-        for (Cache *C : W.Shard)
-          BatchKernel::run(*C, *Batch, W.Scratch);
+        for (CacheColumn *C : W.Shard)
+          C->run(*Batch, W.Scratch);
       } catch (...) {
         W.Failed = true;
         std::lock_guard<std::mutex> Lock(Mutex);

@@ -6,11 +6,12 @@
 ///
 /// \file
 /// The worker pool behind CacheBank's threaded mode. Each worker owns a
-/// disjoint shard of the bank's caches; the bank publishes fixed-size
-/// batches of references and every worker consumes every batch, in
-/// publication order, against its own shard. Because each cache belongs to
-/// exactly one worker and each worker drains its queue FIFO, every cache
-/// observes the exact serial reference stream: all counters are
+/// disjoint shard of the bank's columns (memsys/CacheColumn.h); the bank
+/// publishes fixed-size batches of references and every worker consumes
+/// every batch, in publication order, against its own shard. Because each
+/// column belongs to exactly one worker and each worker drains its queue
+/// FIFO, every cache observes the exact serial reference stream: all
+/// counters are
 /// deterministic and bit-identical to single-threaded simulation. This is
 /// sound for the same reason the one-pass bank itself is (see CacheBank.h):
 /// the reference stream never depends on any cache's state.
@@ -40,21 +41,19 @@
 
 namespace gcache {
 
-class Cache;
+class CacheColumn;
 
 /// A batch of references in columnar form, shared read-only by all
-/// workers. Each worker decomposes the shared columns into its own
-/// BatchIndex scratch, so the address arithmetic is done once per (worker,
-/// block size) and the batch itself is never written after publication.
+/// workers; each worker keeps its own BatchIndex scratch, so the batch
+/// itself is never written after publication.
 using RefBatch = RefColumns;
 
-/// Fixed set of worker threads, each simulating a disjoint shard of caches.
+/// Fixed set of worker threads, each simulating a disjoint shard of columns.
 class ShardPool {
 public:
-  /// Spins up min(\p Threads, Caches.size()) workers over \p Caches,
-  /// assigned round-robin so large and small caches spread evenly across
-  /// shards.
-  ShardPool(const std::vector<Cache *> &Caches, unsigned Threads);
+  /// Spins up min(\p Threads, Columns.size()) workers over \p Columns,
+  /// assigned round-robin.
+  ShardPool(const std::vector<CacheColumn *> &Columns, unsigned Threads);
 
   /// Drains all queued work, then joins the workers.
   ~ShardPool();
@@ -77,7 +76,7 @@ public:
 
 private:
   struct Worker {
-    std::vector<Cache *> Shard;
+    std::vector<CacheColumn *> Shard;
     std::deque<std::shared_ptr<const RefBatch>> Queue;
     /// Per-worker scratch for the batch kernel's precomputed address
     /// columns (only its own thread touches it).

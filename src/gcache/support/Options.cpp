@@ -54,12 +54,6 @@ long Options::getInt(const std::string &Name, long Default) const {
   return V.empty() ? Default : std::strtol(V.c_str(), nullptr, 0);
 }
 
-unsigned Options::getUnsigned(const std::string &Name,
-                              unsigned Default) const {
-  long V = getInt(Name, static_cast<long>(Default));
-  return V < 0 ? 0u : static_cast<unsigned>(V);
-}
-
 bool Options::getBool(const std::string &Name, bool Default) const {
   std::string V = get(Name, "");
   if (V.empty())

@@ -42,9 +42,6 @@ public:
 
   double getDouble(const std::string &Name, double Default) const;
   long getInt(const std::string &Name, long Default) const;
-  /// Like getInt, but clamps negative values to 0 (for counts such as
-  /// --threads, where "-2" is a typo rather than a meaningful request).
-  unsigned getUnsigned(const std::string &Name, unsigned Default) const;
   bool getBool(const std::string &Name, bool Default = false) const;
   bool has(const std::string &Name) const;
 

@@ -130,28 +130,3 @@ gcache::runServeClient(const ServeClientOptions &Opts,
   }
   return Last; // Unreachable; the loop returns on its last attempt.
 }
-
-Expected<std::string> gcache::fetchServeStatus(const std::string &SocketPath,
-                                               int TimeoutMs) {
-  Expected<int> Fd = connectUnix(SocketPath);
-  if (!Fd)
-    return Fd.status();
-  std::vector<uint8_t> Frame;
-  encodeFrame(FrameType::StatusReq, "", Frame);
-  Status S = sendAll(*Fd, Frame, TimeoutMs);
-  std::string Manifest;
-  if (S.ok()) {
-    FrameDecoder Dec;
-    gcache::Frame Reply;
-    S = recvFrame(*Fd, Dec, Reply, TimeoutMs);
-    if (S.ok() && Reply.Type != FrameType::Status)
-      S = Status::fail(StatusCode::Corrupt,
-                       "expected a Status frame in reply to StatusReq");
-    if (S.ok())
-      Manifest = Reply.payloadText();
-  }
-  close(*Fd);
-  if (!S.ok())
-    return S;
-  return Manifest;
-}

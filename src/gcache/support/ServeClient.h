@@ -71,10 +71,6 @@ Expected<ServeClientResult> runServeClient(const ServeClientOptions &Opts,
                                            const std::vector<uint8_t> &Trace,
                                            uint64_t Records, uint32_t Crc);
 
-/// Fetches the daemon's manifest JSON via a StatusReq frame.
-Expected<std::string> fetchServeStatus(const std::string &SocketPath,
-                                       int TimeoutMs = 10000);
-
 } // namespace gcache
 
 #endif // GCACHE_SUPPORT_SERVECLIENT_H

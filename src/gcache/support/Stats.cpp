@@ -81,16 +81,3 @@ void Log2Histogram::load(SnapshotCursor &C) {
   Buckets = std::move(B);
   Total = T;
 }
-
-std::string
-Log2Histogram::renderCumulative(const std::vector<uint64_t> &Probes) const {
-  std::string Out;
-  for (uint64_t P : Probes) {
-    Out += "x<=";
-    Out += fmtCount(P);
-    Out += ": ";
-    Out += fmtDouble(cumulativeFractionAt(P), 4);
-    Out += '\n';
-  }
-  return Out;
-}

@@ -68,9 +68,6 @@ public:
 
   const std::vector<uint64_t> &buckets() const { return Buckets; }
 
-  /// Renders "x<=V: frac" lines for the given probe points.
-  std::string renderCumulative(const std::vector<uint64_t> &Probes) const;
-
   /// Appends buckets and total to an open snapshot section.
   void save(SnapshotWriter &W) const;
   /// Restores the fields written by save(); errors latch in \p C.

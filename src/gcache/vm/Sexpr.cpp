@@ -15,13 +15,6 @@ Sexpr Sexpr::symbol(std::string Name) {
   return S;
 }
 
-Sexpr Sexpr::integer(int64_t V) {
-  Sexpr S;
-  S.K = Kind::Integer;
-  S.Int = V;
-  return S;
-}
-
 Sexpr Sexpr::list(std::vector<Sexpr> Elems) {
   Sexpr S;
   S.K = Kind::List;

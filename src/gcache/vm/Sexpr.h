@@ -54,7 +54,6 @@ struct Sexpr {
   const Sexpr &operator[](size_t I) const { return Elems[I]; }
 
   static Sexpr symbol(std::string Name);
-  static Sexpr integer(int64_t V);
   static Sexpr list(std::vector<Sexpr> Elems);
 
   /// Renders the datum back to text (for diagnostics and tests).

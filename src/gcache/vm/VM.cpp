@@ -118,11 +118,6 @@ void VM::defineGlobal(const std::string &Name, Value V) {
   H.poke(Sym + SymbolValueSlot, V.Bits);
 }
 
-Value VM::peekGlobal(const std::string &Name) {
-  Address Sym = internSymbol(Name);
-  return {H.peek(Sym + SymbolValueSlot)};
-}
-
 //===----------------------------------------------------------------------===//
 // Code and primitives
 //===----------------------------------------------------------------------===//

@@ -134,8 +134,6 @@ public:
 
   /// Binds a global (untraced host-side convenience; used during setup).
   void defineGlobal(const std::string &Name, Value V);
-  /// Reads a global without tracing (tests, diagnostics).
-  Value peekGlobal(const std::string &Name);
 
   //===--- Code and primitives ---------------------------------------------===//
 

@@ -32,7 +32,9 @@
 #include "gcache/core/Checkpoint.h"
 #include "gcache/memsys/BatchKernel.h"
 #include "gcache/memsys/CacheBank.h"
+#include "gcache/memsys/CacheColumn.h"
 #include "gcache/memsys/OracleCache.h"
+#include "gcache/support/Snapshot.h"
 #include "gcache/trace/Sinks.h"
 #include "gcache/trace/TraceFile.h"
 
@@ -286,169 +288,383 @@ TEST(BatchKernel, EmptyBatchIsANoOp) {
 }
 
 //===----------------------------------------------------------------------===//
-// The interleaved two-cache pass (runPair)
+// The all-sizes column engine (CacheColumn)
 //===----------------------------------------------------------------------===//
 
-// Pairing two caches into one pass must be unobservable in either: both
-// end bit-identical to the scalar path. Covers the single-phase fast
-// path (mutator-only stream), the mixed-phase fallback (randomStream
-// interleaves collector refs), unequal cache sizes, desynchronized LRU
-// clocks, and both write-hit policies.
-TEST(BatchKernelPair, PairedRunBitIdenticalToScalar) {
-  struct Case {
-    CacheConfig A, B;
-    bool SinglePhase;
-  };
-  const Case Cases[] = {
-      // The paper-grid shape: two direct-mapped write-back sizes.
-      {{.SizeBytes = 2 << 10, .BlockBytes = 32},
-       {.SizeBytes = 8 << 10, .BlockBytes = 32},
-       false},
-      {{.SizeBytes = 2 << 10, .BlockBytes = 32},
-       {.SizeBytes = 8 << 10, .BlockBytes = 32},
-       true},
-      // Mismatched policies within a pair.
-      {{.SizeBytes = 4 << 10, .BlockBytes = 64,
-        .WriteMiss = WriteMissPolicy::FetchOnWrite,
-        .WriteHit = WriteHitPolicy::WriteThrough},
-       {.SizeBytes = 1 << 10, .BlockBytes = 64,
-        .CollectorFetchOnWrite = true},
-       false},
-  };
-  for (size_t CI = 0; CI != std::size(Cases); ++CI) {
-    const Case &TC = Cases[CI];
-    SCOPED_TRACE("case " + std::to_string(CI));
-    ASSERT_TRUE(BatchKernel::pairable(Cache(TC.A)) &&
-                BatchKernel::pairable(Cache(TC.B)));
-    std::vector<Ref> Stream = randomStream(20000, /*Seed=*/CI);
-    if (TC.SinglePhase)
-      for (Ref &R : Stream)
-        R.ExecPhase = Phase::Mutator;
-
-    Cache ScalarA(TC.A), ScalarB(TC.B);
-    Cache PairA(TC.A), PairB(TC.B);
-    // Desynchronize B's LRU clock: pairing must not assume equal clocks.
-    std::vector<Ref> Lead = randomStream(337, /*Seed=*/99);
-    for (const Ref &R : Lead) {
-      (void)ScalarB.access(R);
-      (void)PairB.access(R);
-    }
-    for (const Ref &R : Stream) {
-      (void)ScalarA.access(R);
-      (void)ScalarB.access(R);
-    }
-
-    RefColumns Batch;
-    BatchIndex Idx;
-    for (size_t I = 0; I != Stream.size();) {
-      Batch.clear();
-      for (size_t K = 0; K != 997 && I != Stream.size(); ++K, ++I)
-        Batch.push_back(Stream[I]);
-      Idx.reset(&Batch);
-      BatchKernel::runPair(PairA, PairB, Batch, Idx);
-    }
-    expectStateIdentical(ScalarA, PairA, "paired cache A");
-    expectStateIdentical(ScalarB, PairB, "paired cache B");
+/// The direct-mapped sizes 1 KB .. 128 KB of one block size: a scaled-down
+/// paper column (eight levels) whose lines are cheap to compare often.
+std::vector<CacheConfig> smallColumn(CacheConfig Proto) {
+  std::vector<CacheConfig> Out;
+  for (uint32_t Size = 1 << 10; Size <= 128 << 10; Size *= 2) {
+    Proto.SizeBytes = Size;
+    Out.push_back(Proto);
   }
+  return Out;
 }
 
-TEST(BatchKernelPair, PairableScreensOutIneligibleCaches) {
-  EXPECT_TRUE(BatchKernel::pairable(
-      Cache({.SizeBytes = 1 << 10, .BlockBytes = 32})));
-  EXPECT_FALSE(BatchKernel::pairable(
-      Cache({.SizeBytes = 1 << 10, .BlockBytes = 32, .Ways = 2})));
-  EXPECT_FALSE(BatchKernel::pairable(Cache(
-      {.SizeBytes = 1 << 10, .BlockBytes = 32, .TrackPerBlockStats = true})));
-  Cache CrossChecked({.SizeBytes = 1 << 10, .BlockBytes = 32});
-  CrossChecked.enableCrossCheck(1);
-  EXPECT_FALSE(BatchKernel::pairable(CrossChecked));
-}
-
-//===----------------------------------------------------------------------===//
-// The shared per-batch address index
-//===----------------------------------------------------------------------===//
-
-TEST(BatchIndex, ColumnsMatchScalarDecomposition) {
-  using BC = BatchIndex::BlockColumns;
-  RefColumns B;
+/// A stream built to stress the column engine on smallColumn caches.
+/// Blocks sit 1 KB apart (they collide only in the small levels) plus
+/// 256 KB strides (they collide at every level, so one miss evicts
+/// across many levels); a third of the references stay on the previous
+/// block, so runs mix loads and stores; words are random, so stores
+/// leave partial write-validate masks that later loads miss. The phase
+/// flips every \p PhaseLen references.
+std::vector<Ref> columnStream(size_t N, uint64_t Seed, size_t PhaseLen) {
   Rng R;
-  for (int I = 0; I != 1000; ++I)
-    B.push_back(randomRef(R));
+  R.S += Seed;
+  std::vector<Ref> Out;
+  Out.reserve(N);
+  Address Block = 0;
+  for (size_t I = 0; I != N; ++I) {
+    uint64_t V = R.next();
+    if (I == 0 || V % 3 != 0)
+      Block = 0x100000 + static_cast<Address>((V >> 8) % 48 * 1024 +
+                                              (V >> 16) % 4 * (256 << 10));
+    Out.push_back({Block + static_cast<Address>((V >> 24) % 16 * 4),
+                   (V >> 32) & 1 ? AccessKind::Store : AccessKind::Load,
+                   (I / PhaseLen) % 2 ? Phase::Collector : Phase::Mutator});
+  }
+  return Out;
+}
+
+/// Caches driven through the column engine, each beside a per-reference
+/// Cache and an OracleCache of the same configuration fed the same
+/// references.
+struct ColumnRig {
+  std::vector<std::unique_ptr<Cache>> Fast, Slow;
+  std::vector<std::unique_ptr<OracleCache>> Oracles;
+  std::vector<CacheColumn> Columns;
   BatchIndex Idx;
-  Idx.reset(&B);
-  for (uint32_t BlockBytes : {16u, 32u, 64u, 128u, 256u}) {
-    const auto &Cols = Idx.columnsFor(BlockBytes);
-    // Recompute the run decomposition with naive scalar arithmetic and
-    // require the packed columns to agree run for run.
-    size_t Run = 0;   // index of the run currently being checked
-    size_t Start = 0; // first reference of that run
-    for (size_t I = 0; I != B.size(); ++I) {
-      const Address A = B.Addr[I];
-      const uint32_t BI = static_cast<uint32_t>(A / BlockBytes);
-      const uint64_t Bit = 1ull << ((A % BlockBytes) / 4);
-      const bool IsStore = B.Kind[I] == static_cast<uint8_t>(AccessKind::Store);
-      const bool NewRun =
-          I == 0 || BI != static_cast<uint32_t>(B.Addr[I - 1] / BlockBytes);
-      if (NewRun) {
-        if (I != 0) {
-          EXPECT_EQ(Cols.RunPacked[Run] & BC::RunLenMask, I - Start);
-          ++Run;
-        }
-        Start = I;
-        ASSERT_LT(Run, Cols.NumRuns);
-        EXPECT_EQ(Cols.RunBlockIdx[Run], BI);
-        EXPECT_EQ(Cols.FirstWordBit[Run], Bit);
-        EXPECT_EQ((Cols.RunPacked[Run] & BC::RunFirstIsStore) != 0, IsStore);
-        EXPECT_EQ(Cols.StoreMask[Run], IsStore ? Bit : 0u);
-      } else {
-        // Tail reference: stores accumulate into the mask, loads set the
-        // tail-load flag forcing the kernel's per-reference walk.
-        if (IsStore)
-          EXPECT_NE(Cols.StoreMask[Run] & Bit, 0u);
-        else
-          EXPECT_NE(Cols.RunPacked[Run] & BC::RunHasTailLoad, 0u);
-      }
+
+  explicit ColumnRig(const std::vector<CacheConfig> &Cfgs) {
+    std::vector<Cache *> Raw;
+    for (const CacheConfig &C : Cfgs) {
+      Fast.push_back(std::make_unique<Cache>(C));
+      Slow.push_back(std::make_unique<Cache>(C));
+      Oracles.push_back(std::make_unique<OracleCache>(C));
+      Raw.push_back(Fast.back().get());
     }
-    EXPECT_EQ(Run + 1, Cols.NumRuns);
-    EXPECT_EQ(Cols.RunPacked[Run] & BC::RunLenMask, B.size() - Start);
-    // A run whose flags say store-only-tail must cover every tail store;
-    // cross-check the mask totals reference by reference.
-    size_t TotalLen = 0;
-    for (uint32_t Packed : Cols.RunPacked)
-      TotalLen += Packed & BC::RunLenMask;
-    EXPECT_EQ(TotalLen, B.size());
+    Columns = CacheColumn::partition(Raw);
+  }
+
+  void feed(const RefColumns &B) {
+    Idx.reset(&B);
+    for (CacheColumn &Col : Columns)
+      Col.run(B, Idx);
+    for (size_t I = 0; I != B.size(); ++I)
+      for (size_t K = 0; K != Slow.size(); ++K) {
+        (void)Slow[K]->access(B.get(I));
+        (void)Oracles[K]->access(B.get(I));
+      }
+  }
+
+  /// Feeds [Begin, End) in batches of at most \p BatchRefs, cut at every
+  /// phase flip so each batch takes the engine's loop.
+  void feedStream(const std::vector<Ref> &S, size_t BatchRefs,
+                  size_t Begin = 0, size_t End = SIZE_MAX) {
+    End = std::min(End, S.size());
+    RefColumns B;
+    for (size_t I = Begin; I < End;) {
+      B.clear();
+      const Phase P = S[I].ExecPhase;
+      for (; I != End && B.size() != BatchRefs && S[I].ExecPhase == P; ++I)
+        B.push_back(S[I]);
+      feed(B);
+    }
+  }
+
+  /// Materializes, then demands bit-identity with the per-reference
+  /// caches and agreement with the oracles, cache by cache.
+  void check(const std::string &Where) {
+    for (CacheColumn &Col : Columns)
+      Col.materialize();
+    for (size_t K = 0; K != Fast.size(); ++K) {
+      const std::string At = Where + ", " + Fast[K]->config().label();
+      expectStateIdentical(*Slow[K], *Fast[K], At);
+      expectMatchesOracle(*Fast[K], *Oracles[K], At);
+      EXPECT_TRUE(Fast[K]->auditState().ok()) << At;
+    }
+  }
+};
+
+class ColumnEngineMatrix : public ::testing::TestWithParam<CacheConfig> {};
+
+// The headline differential: every policy, both phases (collector batches
+// are where CollectorFetchOnWrite applies), an occasional mixed-phase
+// batch (the per-reference fallback, after which the groups are rebuilt),
+// and a full comparison after every batch.
+TEST_P(ColumnEngineMatrix, EngineMatchesScalarAndOracleAfterEveryBatch) {
+  ColumnRig Rig(smallColumn(GetParam()));
+  SCOPED_TRACE(Rig.Fast[0]->config().label());
+  ASSERT_EQ(Rig.Columns.size(), 1u);
+  std::vector<Ref> Stream = columnStream(24000, /*Seed=*/3, /*PhaseLen=*/1000);
+  const size_t BatchRefs = 389;
+  unsigned Mixed = 0;
+  RefColumns B;
+  for (size_t I = 0, K = 0; I < Stream.size(); ++K) {
+    B.clear();
+    const bool MixedOk = K % 6 == 5;
+    for (size_t N = 0; I != Stream.size() && N != BatchRefs; ++I, ++N) {
+      if (!MixedOk && N != 0 && Stream[I].ExecPhase != Stream[I - 1].ExecPhase)
+        break;
+      B.push_back(Stream[I]);
+    }
+    Mixed += B.PhaseTag.front() != B.PhaseTag.back();
+    Rig.feed(B);
+    Rig.check("after " + std::to_string(I) + " refs");
+    if (::testing::Test::HasFatalFailure())
+      return;
+  }
+  EXPECT_GT(Mixed, 0u) << "the stream must exercise the mixed-phase path";
+  const CacheCounters Top = Rig.Slow.back()->totalCounters();
+  EXPECT_GT(Top.FetchMisses + Top.NoFetchMisses, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, ColumnEngineMatrix,
+    ::testing::Values(
+        // The paper grid's policy.
+        CacheConfig{.BlockBytes = 16},
+        CacheConfig{.BlockBytes = 32, .CollectorFetchOnWrite = false,
+                    .TrackPerBlockStats = true},
+        CacheConfig{.BlockBytes = 64,
+                    .WriteHit = WriteHitPolicy::WriteThrough},
+        CacheConfig{.BlockBytes = 16,
+                    .WriteMiss = WriteMissPolicy::FetchOnWrite,
+                    .TrackPerBlockStats = true},
+        CacheConfig{.BlockBytes = 64,
+                    .WriteMiss = WriteMissPolicy::FetchOnWrite,
+                    .WriteHit = WriteHitPolicy::WriteThrough},
+        CacheConfig{.BlockBytes = 256, .TrackPerBlockStats = true}));
+
+// The cases that break a naive early stop, one reference at a time: a
+// partial write-validate mask in the large levels under a full one in the
+// small level, a block evicted from the small levels and re-read (so its
+// levels split into two groups with different state), and a victim that
+// spans every level.
+TEST(ColumnEngine, GroupsSplitAndRejoinExactly) {
+  CacheConfig Proto{.BlockBytes = 32, .TrackPerBlockStats = true};
+  ColumnRig Rig(smallColumn(Proto));
+  const Address A = 0x200000;
+  auto Ref_ = [](Address Addr, AccessKind K) {
+    return Ref{Addr, K, Phase::Mutator};
+  };
+  const std::vector<Ref> Steps = {
+      Ref_(A, AccessKind::Store),          // allocate: word 0 only, everywhere
+      Ref_(A + 1024, AccessKind::Load),    // evict A from the 1 KB level
+      Ref_(A + 8, AccessKind::Load),       // 1 KB refetches; larger levels
+                                           // miss the word (sub-block)
+      Ref_(A + 12, AccessKind::Store),     // settles at 1 KB: all dirty
+      Ref_(A + 4096, AccessKind::Load),    // evict A from 1-4 KB only
+      Ref_(A + 16, AccessKind::Store),     // 1-4 KB hold word 4 only,
+                                           // the larger sizes every word
+      Ref_(A + 20, AccessKind::Load),      // sub-block miss at 1-4 KB only
+      Ref_(A + (256 << 10), AccessKind::Store), // victim spans all levels
+      Ref_(A + 24, AccessKind::Load),      // A back from memory everywhere
+      Ref_(A + 4, AccessKind::Load),
+  };
+  // One reference per batch, then the same stream in one batch.
+  for (size_t I = 0; I != Steps.size(); ++I) {
+    RefColumns B;
+    B.push_back(Steps[I]);
+    Rig.feed(B);
+    Rig.check("step " + std::to_string(I));
+    if (::testing::Test::HasFatalFailure())
+      return;
+  }
+  ColumnRig Whole(smallColumn(Proto));
+  Whole.feedStream(Steps, Steps.size());
+  Whole.check("one batch");
+  // The scenario really split the levels: the 1 KB cache fetched A's
+  // words while the larger ones took sub-block misses on them.
+  EXPECT_NE(Rig.Slow[0]->totalCounters().FetchMisses,
+            Rig.Slow[4]->totalCounters().FetchMisses);
+  EXPECT_GT(Rig.Slow.back()->totalCounters().Writebacks, 0u);
+}
+
+// Non-consecutive sizes (the paper's 32 KB, 256 KB and 4 MB) form one
+// column of three levels; a size alone forms a column of one.
+TEST(ColumnEngine, SparseAndSingleSizeColumns) {
+  std::vector<CacheConfig> Cfgs;
+  for (uint32_t Size : {32u << 10, 256u << 10, 4u << 20})
+    Cfgs.push_back({.SizeBytes = Size, .BlockBytes = 64});
+  Cfgs.push_back({.SizeBytes = 64 << 10, .BlockBytes = 128,
+                  .TrackPerBlockStats = true});
+  ColumnRig Rig(Cfgs);
+  ASSERT_EQ(Rig.Columns.size(), 2u);
+  EXPECT_EQ(Rig.Columns[0].caches().size(), 3u);
+  EXPECT_EQ(Rig.Columns[1].caches().size(), 1u);
+
+  // Addresses over 16 MB, so the 4 MB level conflicts too.
+  Rng R;
+  std::vector<Ref> Stream;
+  for (size_t I = 0; I != 60000; ++I) {
+    uint64_t V = R.next();
+    Address Base = static_cast<Address>((V >> 8) % 64 * (32 << 10) +
+                                        (V >> 20) % 4 * (4 << 20));
+    Stream.push_back({Base + static_cast<Address>((V >> 40) % 64 * 4),
+                      (V >> 50) & 1 ? AccessKind::Store : AccessKind::Load,
+                      (I / 7000) % 2 ? Phase::Collector : Phase::Mutator});
+  }
+  Rig.feedStream(Stream, 4099, 0, 30000);
+  Rig.check("mid-stream");
+  Rig.feedStream(Stream, 4099, 30000);
+  Rig.check("end");
+}
+
+// The sizes of a column need not share an LRU clock: here the two
+// smallest caches are reset after a warm-up (empty caches stay inclusive),
+// so their clocks lag the others' by the warm-up's length, and every
+// stamp the engine moves between sizes must be translated.
+TEST(ColumnEngine, LaggingClocksAreTranslated) {
+  ColumnRig Rig(smallColumn({.BlockBytes = 64, .TrackPerBlockStats = true}));
+  std::vector<Ref> Stream = columnStream(12000, /*Seed=*/41, /*PhaseLen=*/3000);
+  Rig.feedStream(Stream, 1000, 0, 4000);
+  Rig.Columns[0].materialize(); // adopt() takes exact lines
+  for (size_t K : {0, 1}) {
+    Rig.Fast[K]->reset();
+    Rig.Slow[K]->reset();
+    Rig.Oracles[K]->reset();
+  }
+  ASSERT_TRUE(Rig.Columns[0].adopt().ok());
+  Rig.feedStream(Stream, 1000, 4000);
+  Rig.check("after the reset");
+  EXPECT_LT(CacheTestPeer::lruClockOf(*Rig.Fast[0]),
+            CacheTestPeer::lruClockOf(*Rig.Fast[2]));
+}
+
+// Batch segmentation is unobservable: every cut from one reference up
+// leaves the same state, including cuts never materialized in between.
+TEST(ColumnEngine, EveryBatchCutAgrees) {
+  CacheConfig Proto{.BlockBytes = 16, .TrackPerBlockStats = true};
+  std::vector<Ref> Stream = columnStream(3000, /*Seed=*/11, /*PhaseLen=*/700);
+  std::vector<size_t> Cuts;
+  for (size_t N = 1; N <= 48; ++N)
+    Cuts.push_back(N);
+  for (size_t N : {97, 256, 1000, 3000})
+    Cuts.push_back(N);
+  for (size_t N : Cuts) {
+    ColumnRig Rig(smallColumn(Proto));
+    Rig.feedStream(Stream, N);
+    Rig.check("batches of " + std::to_string(N));
+    if (::testing::Test::HasFatalFailure())
+      return;
   }
 }
 
-TEST(BatchIndex, ColumnsAreCachedPerBlockSizeAndInvalidatedByReset) {
+// A bank checkpointed mid-stream in batched mode and restored into a
+// fresh batched bank continues bit-identically; auditAll passes on the
+// way, and a snapshot that breaks inclusion is rejected on load.
+TEST(ColumnEngine, SnapshotMidStreamResumesAndAudits) {
+  auto MakeBank = [](CacheBank &Bank) {
+    for (const CacheConfig &C : smallColumn({.BlockBytes = 32}))
+      Bank.addConfig(C);
+    Bank.addConfig({.SizeBytes = 8 << 10, .BlockBytes = 32, .Ways = 2});
+  };
+  std::vector<Ref> Stream = columnStream(20000, /*Seed=*/29, /*PhaseLen=*/2500);
+  auto Feed = [&](CacheBank &Bank, size_t Begin, size_t End) {
+    for (size_t I = Begin; I != End; ++I) {
+      if (I != Begin && Stream[I].ExecPhase != Stream[I - 1].ExecPhase)
+        Bank.onGcBegin(); // any marker flushes
+      Bank.onRef(Stream[I]);
+    }
+    Bank.flush();
+  };
+  CacheBank Scalar, Before;
+  MakeBank(Scalar);
+  MakeBank(Before);
+  Before.setBatched(true, 1000);
+  Feed(Scalar, 0, Stream.size());
+  Feed(Before, 0, 11111);
+  EXPECT_TRUE(Before.auditAll().ok());
+  SnapshotWriter W;
+  Before.saveTo(W);
+  SnapshotReader Rd;
+  ASSERT_TRUE(Rd.openBuffer(W.serialize()).ok());
+
+  CacheBank After;
+  MakeBank(After);
+  After.setBatched(true, 1000);
+  ASSERT_TRUE(After.loadFrom(Rd).ok());
+  Feed(After, 11111, Stream.size());
+  EXPECT_TRUE(After.auditAll().ok());
+  for (size_t I = 0; I != Scalar.size(); ++I)
+    expectStateIdentical(Scalar.cache(I), After.cache(I),
+                         Scalar.cache(I).config().label());
+  // The saving bank can keep running after its snapshot too.
+  Feed(Before, 11111, Stream.size());
+  Before.materialize();
+  for (size_t I = 0; I != Scalar.size(); ++I)
+    expectStateIdentical(Scalar.cache(I), Before.cache(I),
+                         Scalar.cache(I).config().label() + " (saver)");
+
+  // Break inclusion in the line the 2 KB cache holds for a block of the
+  // 1 KB cache: drop the block, or keep it under another LRU stamp. Each
+  // cache passes its own audit; the column does not.
+  CacheTestPeer::Line *Victim = nullptr;
+  for (size_t I = 0; I != CacheTestPeer::numLines(Scalar.cache(0)); ++I)
+    if (CacheTestPeer::line(Scalar.cache(0), I).ValidMask != 0) {
+      const auto &L = CacheTestPeer::line(Scalar.cache(0), I);
+      uint32_t Block = L.Tag * 32 + static_cast<uint32_t>(I); // 32 sets
+      Victim = &CacheTestPeer::line(Scalar.cache(1), Block % 64);
+      break;
+    }
+  ASSERT_NE(Victim, nullptr);
+  ASSERT_GT(Victim->LruStamp, 1u);
+  for (int Breakage = 0; Breakage != 2; ++Breakage) {
+    const CacheTestPeer::Line Saved = *Victim;
+    if (Breakage == 0)
+      Victim->Tag ^= 1;
+    else
+      --Victim->LruStamp;
+    SnapshotWriter Bad;
+    Scalar.saveTo(Bad);
+    *Victim = Saved;
+    SnapshotReader BadRd;
+    ASSERT_TRUE(BadRd.openBuffer(Bad.serialize()).ok());
+    CacheBank Rejects;
+    MakeBank(Rejects);
+    Status S = Rejects.loadFrom(BadRd);
+    EXPECT_EQ(S.code(), StatusCode::Corrupt) << Breakage << ": " << S.message();
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// The shared per-batch tally
+//===----------------------------------------------------------------------===//
+
+TEST(BatchIndex, TallyIsCachedAndInvalidatedByReset) {
   RefColumns B1, B2;
   Rng R;
   for (int I = 0; I != 64; ++I)
     B1.push_back(randomRef(R));
-  B2.push_back({0x1234, AccessKind::Load, Phase::Mutator});
+  B2.push_back({0x1234, AccessKind::Store, Phase::Collector});
 
   BatchIndex Idx;
   Idx.reset(&B1);
-  const uint32_t Want = Idx.columnsFor(64).RunBlockIdx[0];
-  // Scribble on the cached columns: while the batch is current, repeated
-  // columnsFor calls must return the cache, not recompute (recomputing
-  // would erase the scribble).
-  const_cast<BatchIndex::BlockColumns &>(Idx.columnsFor(64)).RunBlockIdx[0] =
-      Want ^ 0xdead;
-  EXPECT_EQ(Idx.columnsFor(64).RunBlockIdx[0], Want ^ 0xdead);
-  // Asking for another block size computes its own columns and leaves the
-  // first size's cache entry alone.
-  EXPECT_EQ(Idx.columnsFor(16).RunBlockIdx[0], B1.Addr[0] / 16);
-  EXPECT_EQ(Idx.columnsFor(64).RunBlockIdx[0], Want ^ 0xdead);
+  uint64_t Loads[2] = {0, 0}, Stores[2] = {0, 0};
+  for (size_t I = 0; I != B1.size(); ++I) {
+    const Ref X = B1.get(I);
+    (X.Kind == AccessKind::Store ? Stores : Loads)[static_cast<unsigned>(
+        X.ExecPhase)]++;
+  }
+  for (unsigned P = 0; P != 2; ++P) {
+    EXPECT_EQ(Idx.tally().Loads[P], Loads[P]);
+    EXPECT_EQ(Idx.tally().Stores[P], Stores[P]);
+  }
+  // Scribble on the cached tally: while the batch is current, repeated
+  // tally() calls must return the cache, not recompute.
+  const_cast<BatchIndex::RefTally &>(Idx.tally()).Loads[0] += 1000;
+  EXPECT_EQ(Idx.tally().Loads[0], Loads[0] + 1000);
 
-  // reset() invalidates: the columns are recomputed for the new batch.
+  // reset() invalidates: the tally is recomputed for the new batch.
   Idx.reset(&B2);
-  const auto &Fresh = Idx.columnsFor(64);
-  ASSERT_EQ(Fresh.NumRuns, 1u);
-  EXPECT_EQ(Fresh.RunBlockIdx[0], 0x1234u / 64);
-  // And re-pointing at the original batch recomputes honestly too.
+  EXPECT_EQ(Idx.tally().Stores[1], 1u);
+  EXPECT_EQ(Idx.tally().Loads[0] + Idx.tally().Loads[1] +
+                Idx.tally().Stores[0],
+            0u);
   Idx.reset(&B1);
-  EXPECT_EQ(Idx.columnsFor(64).RunBlockIdx[0], Want);
+  EXPECT_EQ(Idx.tally().Loads[0], Loads[0]);
 }
 
 //===----------------------------------------------------------------------===//
@@ -592,6 +808,7 @@ TEST(BatchBank, ExecutionModesAreBitIdentical) {
   Threaded.setThreads(3, /*BatchRefs=*/1536);
   feedWithGcBoundary(Threaded, Stream);
   Threaded.setThreads(0);
+  Batched.materialize();
 
   for (size_t I = 0; I != Immediate.size(); ++I) {
     std::string Where = Immediate.cache(I).config().label();
@@ -729,6 +946,7 @@ TEST(BatchRecordedTrace, BatchedReplayMatchesScalarReplay) {
 
   EXPECT_EQ(A->RecordsReplayed, B->RecordsReplayed);
   EXPECT_EQ(ScalarCounts.totalRefs(), BatchedCounts.totalRefs());
+  Batched.materialize();
   for (size_t I = 0; I != Scalar.size(); ++I)
     expectStateIdentical(Scalar.cache(I), Batched.cache(I),
                          Scalar.cache(I).config().label());
@@ -825,6 +1043,7 @@ void killAndResume(uint64_t KillAfter, size_t BatchRefs, bool KillBatched,
       replayTraceCheckpointed(killSweepTracePath(), Bank, Counts, ResumeOpts);
   ASSERT_TRUE(R.ok()) << R.status().message();
   ASSERT_EQ(CleanBank.size(), Bank.size());
+  Bank.materialize();
   for (size_t I = 0; I != CleanBank.size(); ++I)
     expectStateIdentical(CleanBank.cache(I), Bank.cache(I),
                          CleanBank.cache(I).config().label());
